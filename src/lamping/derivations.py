@@ -163,23 +163,31 @@ def mu_l(x: str, ty: Mu, p: Derivation) -> Derivation:
 
 def check_derivation(d: Derivation, mode: str = EAL) -> Judgement:
     """Verify every rule application and return the conclusion."""
-    if mode not in (EAL, LAL):
-        raise ValueError(f"mode must be 'eal' or 'lal', got {mode!r}")
-    return _check(d, mode, ())
+    return _check_all(d, mode, None)
 
 
 def check_annotated(d: Derivation, mode: str = EAL) -> dict[tuple[int, ...], Judgement]:
     """check_derivation, but returns the judgement at every node keyed by path."""
     out: dict[tuple[int, ...], Judgement] = {}
+    _check_all(d, mode, out)
+    return out
+
+
+def _check_all(d: Derivation, mode: str,
+               out: dict[tuple[int, ...], Judgement] | None) -> Judgement:
+    """The one checker. Judgements are kept only when `out` is given:
+    keeping them all holds every node's subject term alive at once."""
+    if mode not in (EAL, LAL):
+        raise ValueError(f"mode must be 'eal' or 'lal', got {mode!r}")
 
     def go(n: Derivation, path: tuple[int, ...]) -> Judgement:
         subs = [go(p, path + (i,)) for i, p in enumerate(n.premises)]
         j = _apply_rule(n, mode, path, subs)
-        out[path] = j
+        if out is not None:
+            out[path] = j
         return j
 
-    go(d, ())
-    return out
+    return go(d, ())
 
 
 def derivation_subject(d: Derivation, mode: str = EAL) -> Term:
@@ -204,11 +212,6 @@ def _ctx_merge(path: tuple[int, ...], *parts: tuple[tuple[str, Formula], ...]) -
             seen.add(n)
             out.append((n, f))
     return tuple(out)
-
-
-def _check(d: Derivation, mode: str, path: tuple[int, ...]) -> Judgement:
-    subs = [_check(p, mode, path + (i,)) for i, p in enumerate(d.premises)]
-    return _apply_rule(d, mode, path, subs)
 
 
 def _apply_rule(d: Derivation, mode: str, path: tuple[int, ...],

@@ -8,7 +8,6 @@ comparison hold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .derivations import Derivation, check_derivation
@@ -50,7 +49,6 @@ class RunStats:
 def prepared_graph(d: Derivation, mode: str = "eal",
                    translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
     """Check, build and translate; the usual test entry point."""
-    check_derivation(d, mode)
     net = build_proofnet(d, mode)
     lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
     return net, lab, translate(net, lab)
@@ -59,7 +57,7 @@ def prepared_graph(d: Derivation, mode: str = "eal",
 def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
                  strategy: str = "sg", max_steps: int = 10 ** 5,
                  fuel: int = 10 ** 5, beta_fuel: int = 10 ** 6,
-                 compute_weight: bool = True, probe_depth: int = 0) -> RunStats:
+                 probe_depth: int = 0) -> RunStats:
     """Full pipeline. A positive probe_depth additionally compares the
     bounded semantics tables of the net and its translation."""
     judgement = check_derivation(d, mode)
@@ -71,23 +69,23 @@ def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
     lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
     pn_steps = 0
     table_preserved = None
+    # the sg route rewrites the graph it probed; pn-mlbl translates the
+    # normal net, so without a probe it needs no graph of the initial one
+    graph = translate(net, lab) if probe_depth > 0 or strategy != "pn-mlbl" else None
     if probe_depth > 0:
         from .semantics import semantics_table
-        g0 = translate(net, lab)
         table_preserved = (semantics_table(net, lab, probe_depth)
-                           == semantics_table(g0, lab, probe_depth))
+                           == semantics_table(graph, lab, probe_depth))
 
     if strategy == "pn-mlbl":
         net, pn_steps = normalize_mlbl(net, max_steps, labelling=lab)
         assert not find_cuts(net)
         graph = translate(net, lab)
-        g0_size = graph.size()
-        w = weight(graph, lab, fuel).total if compute_weight else 0
-        stats = SGStats(peak_size=graph.size())
+    g0_size = graph.size()
+    w = weight(graph, lab, fuel).total
+    if strategy == "pn-mlbl":
+        stats = SGStats(peak_size=g0_size)
     else:
-        graph = translate(net, lab)
-        g0_size = graph.size()
-        w = weight(graph, lab, fuel).total if compute_weight else math.inf
         graph, stats = normalize_sg(graph, max_steps)
 
     steps_ok = stats.steps <= w + g0_size / 2

@@ -1,0 +1,116 @@
+"""Port graphs: the interaction-net core of proof-nets and sharing graphs.
+
+A port graph is a set of typed nodes whose ports are joined by wires. A
+wiring maps each occupied port-end to its partner; ends are either node
+ports `("n", id, port)` or named conclusions `("c", label)`. Every kind
+lists its ports with the principal one first; kinds in `NO_PRINCIPAL`
+have none. Rewriting only ever fires on a wire joining two principal
+ports. `ROLES` says how the token machine crosses each kind: `mult` and
+`exp` nodes push or pop one symbol on the multiplicative or on an
+exponential stack, `id` nodes pass the token through unchanged, and
+`none` nodes stop it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable
+
+__all__ = ["End", "PortGraph", "principal_pairs", "to_dot"]
+
+End = tuple  # ("n", node_id, port) | ("c", label)
+
+
+class PortGraph:
+    """Nodes, wires and the per-kind tables; subclasses declare the
+    tables and provide `conclusions`, the labels of their free ends."""
+
+    PORTS: dict[str, tuple[str, ...]] = {}
+    NO_PRINCIPAL: frozenset[str] = frozenset()
+    ROLES: dict[str, str] = {}  # kind -> "mult" | "exp" | "id" | "none"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._principal = {kind: None if kind in cls.NO_PRINCIPAL else ports[0]
+                          for kind, ports in cls.PORTS.items()}
+        # is_principal_end looks at the port name alone, so no name may be
+        # principal on one kind and auxiliary on another
+        cls._principal_ports = frozenset(p for p in cls._principal.values() if p)
+        if any(p in cls._principal_ports and p != cls._principal[kind]
+               for kind, ports in cls.PORTS.items() for p in ports):
+            raise TypeError(f"{cls.__name__}: a port name is both principal and auxiliary")
+        cls._roles = {kind: (role,) if role == "none" else (role,) + cls.PORTS[kind]
+                      for kind, role in cls.ROLES.items()}
+
+    def __init__(self) -> None:
+        self.nodes: dict[int, str] = {}
+        self.wires: dict[End, End] = {}
+        self._next = itertools.count()
+
+    def add_node(self, kind: str) -> int:
+        nid = next(self._next)
+        self.nodes[nid] = kind
+        return nid
+
+    def link(self, a: End, b: End) -> None:
+        assert a not in self.wires and b not in self.wires, "port already wired"
+        self.wires[a] = b
+        self.wires[b] = a
+
+    def unlink(self, a: End) -> End:
+        b = self.wires.pop(a)
+        del self.wires[b]
+        return b
+
+    def ports(self, nid: int) -> tuple[str, ...]:
+        return self.PORTS[self.nodes[nid]]
+
+    def principal(self, nid: int) -> str | None:
+        return self._principal[self.nodes[nid]]
+
+    def is_principal_end(self, end: End) -> bool:
+        return end[0] == "n" and end[2] in self._principal_ports
+
+    def edges(self) -> list[tuple[End, End]]:
+        """Every wire once, as (lower end, higher end), in sorted order."""
+        return sorted((a, b) for a, b in self.wires.items() if a <= b)
+
+    def size(self) -> int:
+        return len(self.nodes)
+
+    def machine_role(self, nid: int) -> tuple:
+        """("mult" | "exp", principal, p-port, q-port), ("id", out, in) or ("none",)."""
+        return self._roles[self.nodes[nid]]
+
+
+def principal_pairs(g: PortGraph) -> list[tuple[End, End]]:
+    """The wires joining two principal ports, as (lower end, higher end),
+    in no particular order."""
+    return [(a, b) for a, b in g.wires.items()
+            if a <= b and g.is_principal_end(a) and g.is_principal_end(b)]
+
+
+def to_dot(g: PortGraph, name: str, shape: str, label: Callable[[int], str],
+           clusters: dict[int, set[int]] | None = None) -> str:
+    """Graphviz text: one node per graph node and conclusion, principal
+    ports starred, and one cluster per entry of `clusters`."""
+    lines = [f"graph {name} {{", f"  node [shape={shape}];"]
+    for nid in sorted(g.nodes):
+        lines.append(f'  n{nid} [label="{label(nid)}"];')
+    for c in g.conclusions:
+        lines.append(f'  c_{c} [label="{c}" shape=plaintext];')
+
+    def fmt(end: End) -> tuple[str, str]:
+        if end[0] == "c":
+            return f"c_{end[1]}", ""
+        mark = "*" if g.is_principal_end(end) else ""
+        return f"n{end[1]}", f"{end[2]}{mark}"
+
+    for a, b in g.edges():
+        (na, pa), (nb, pb) = fmt(a), fmt(b)
+        lines.append(f'  {na} -- {nb} [taillabel="{pa}" headlabel="{pb}"];')
+    for cid in sorted(clusters or {}):
+        members = " ".join(f"n{m}" for m in sorted(clusters[cid]))
+        lines.append(f'  subgraph cluster_{cid} {{ {members} }}')
+    lines.append("}")
+    return "\n".join(lines)

@@ -1,9 +1,8 @@
 """Proof-nets for EAL/LAL: construction, boxes, cuts, and reduction.
 
-Nets are port graphs. A wiring maps each occupied port-end to its
-partner; ends are either node ports `("n", id, port)` or named
-conclusions `("c", label)`. Boxes are explicit node sets with door
-lists, so the contraction step can copy exactly a box's contents.
+Nets are port graphs (see portgraph.py). Boxes are explicit node sets
+with door lists, so the contraction step can copy exactly a box's
+contents.
 """
 
 from __future__ import annotations
@@ -12,35 +11,18 @@ import itertools
 from dataclasses import dataclass, field
 
 from .derivations import Derivation, check_annotated
+from .portgraph import End, PortGraph, principal_pairs, to_dot
 
 __all__ = [
     "ProofNet", "Box", "StepReport", "MalformedNet",
     "build_proofnet", "find_cuts", "reduce_step_pn", "normalize_mlbl",
     "is_special_box", "net_depth", "edge_depth", "check_lal_boxes",
-    "proofnet_dot", "direct_paths",
+    "proofnet_dot",
 ]
 
-# kind -> ports (first is principal; None marks no principal port)
-PN_PORTS: dict[str, tuple[str, ...]] = {
-    "RLolli": ("pr", "var", "bod"),
-    "LLolli": ("pr", "arg", "res"),
-    "X": ("pr", "p", "q"),
-    "W": ("e",),
-    "RBang": ("out", "in"),
-    "LBang": ("out", "in"),
-    "RPara": ("out", "in"),
-    "LPara": ("out", "in"),
-    "RForall": ("out", "in"),
-    "LForall": ("out", "in"),
-    "RMu": ("out", "in"),
-    "LMu": ("out", "in"),
-}
-
-_NO_PRINCIPAL = {"W"}
-
 DOOR_KINDS = {"RBang", "LBang", "RPara", "LPara"}
-
-End = tuple  # ("n", node_id, port) | ("c", label)
+# doors, quantifier and fixpoint nodes: principal "out", auxiliary "in"
+_UNARY_KINDS = ("RBang", "LBang", "RPara", "LPara", "RForall", "LForall", "RMu", "LMu")
 
 
 class MalformedNet(Exception):
@@ -71,35 +53,26 @@ class StepReport:
     resolved_contraction: int | None = None
 
 
-class ProofNet:
+class ProofNet(PortGraph):
+    PORTS = {
+        "RLolli": ("pr", "var", "bod"),
+        "LLolli": ("pr", "arg", "res"),
+        "X": ("pr", "p", "q"),
+        "W": ("e",),
+        **{kind: ("out", "in") for kind in _UNARY_KINDS},
+    }
+    NO_PRINCIPAL = frozenset({"W"})
+    ROLES = {"RLolli": "mult", "LLolli": "mult", "X": "exp", "W": "none",
+             **{kind: "id" for kind in _UNARY_KINDS}}
+
     def __init__(self) -> None:
-        self.nodes: dict[int, str] = {}
-        self.wires: dict[End, End] = {}
+        super().__init__()
         self.boxes: dict[int, Box] = {}
         self.conclusions: list[str] = []
-        self._next = itertools.count()
 
-    # -- construction -------------------------------------------------------
-
-    def add_node(self, kind: str) -> int:
-        nid = next(self._next)
-        self.nodes[nid] = kind
-        return nid
-
-    def link(self, a: End, b: End) -> None:
-        assert a not in self.wires and b not in self.wires, "port already wired"
-        self.wires[a] = b
-        self.wires[b] = a
-
-    def unlink(self, a: End) -> End:
-        b = self.wires.pop(a)
-        del self.wires[b]
-        return b
-
-    def attach(self, node_end: End, old_end: End) -> None:
-        """Rewire whatever old_end pointed at onto node_end, dropping old_end."""
-        partner = self.unlink(old_end)
-        self.link(node_end, partner)
+    def attach(self, new_end: End, old_end: End) -> None:
+        """Rewire whatever old_end pointed at onto new_end, dropping old_end."""
+        self.link(new_end, self.unlink(old_end))
 
     def splice(self, a: End, b: End) -> None:
         """Remove the two ends a and b, joining their partners directly."""
@@ -108,30 +81,6 @@ class ProofNet:
             raise MalformedNet("splice would create a closed loop")
         pb = self.unlink(b)
         self.link(pa, pb)
-
-    # -- queries ------------------------------------------------------------
-
-    def ports(self, nid: int) -> tuple[str, ...]:
-        return PN_PORTS[self.nodes[nid]]
-
-    def principal(self, nid: int) -> str | None:
-        kind = self.nodes[nid]
-        return None if kind in _NO_PRINCIPAL else PN_PORTS[kind][0]
-
-    def is_principal_end(self, end: End) -> bool:
-        if end[0] != "n":
-            return False
-        return self.principal(end[1]) == end[2]
-
-    def edges(self) -> list[tuple[End, End]]:
-        seen = set()
-        out = []
-        for a, b in self.wires.items():
-            key = (a, b) if a <= b else (b, a)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        return sorted(out)
 
     def node_depth(self, nid: int) -> int:
         return sum(1 for b in self.boxes.values() if nid in b.members)
@@ -143,25 +92,6 @@ class ProofNet:
         if self.nodes[nid] in DOOR_KINDS and port == "out":
             return self.node_depth(nid) - 1
         return self.node_depth(nid)
-
-    def size(self) -> int:
-        return len(self.nodes)
-
-    # -- token-machine interface -------------------------------------------
-
-    def machine_role(self, nid: int) -> tuple:
-        kind = self.nodes[nid]
-        if kind in ("RLolli", "LLolli"):
-            p, q = ("var", "bod") if kind == "RLolli" else ("arg", "res")
-            return ("mult", "pr", p, q)
-        if kind == "X":
-            return ("exp", "pr", "p", "q")
-        if kind == "W":
-            return ("none",)
-        return ("id", "out", "in")
-
-    def conclusion_end(self, label: str) -> End:
-        return ("c", label)
 
     def contraction_nodes(self) -> list[int]:
         return sorted(n for n, k in self.nodes.items() if k == "X")
@@ -295,16 +225,10 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
         raise MalformedNet(f"unhandled rule {rule}")
 
     main, hyps = go(d, ())
-    final = judgements[()]
-
-    def relabel(old: End, new: End) -> None:
-        partner = net.unlink(old)
-        net.link(new, partner)
-
-    relabel(main, ("c", "main"))
+    net.attach(("c", "main"), main)
     net.conclusions = ["main"]
-    for name in final.ctx_names():
-        relabel(hyps[name], ("c", name))
+    for name in judgements[()].ctx_names():
+        net.attach(("c", name), hyps[name])
         net.conclusions.append(name)
     return net
 
@@ -314,9 +238,7 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
 
 def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
     """Edges principal for both endpoints, ordered by depth then node ids."""
-    cuts = [e for e in net.edges()
-            if net.is_principal_end(e[0]) and net.is_principal_end(e[1])]
-    return sorted(cuts, key=lambda e: (edge_depth(net, e), e))
+    return sorted(principal_pairs(net), key=lambda e: (edge_depth(net, e), e))
 
 
 def _cut_kind(net: ProofNet, cut: tuple[End, End]) -> tuple[str, int, int]:
@@ -474,44 +396,7 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
 
 
 # ---------------------------------------------------------------------------
-# paths, special boxes, strategies
-
-def direct_paths(net: ProofNet, start_end: End, max_len: int = 64) -> list[list[tuple[End, End]]]:
-    """All maximal direct paths leaving through start_end (an edge end).
-
-    A path is a sequence of edges; consecutive edges share a node and at
-    least one of the two is principal for it.
-    """
-    paths: list[list[tuple[End, End]]] = []
-
-    def edge_of(end: End) -> tuple[End, End]:
-        other = net.wires[end]
-        return (end, other) if end <= other else (other, end)
-
-    def walk(cur_end: End, trail: list[tuple[End, End]]) -> None:
-        if len(trail) >= max_len:
-            paths.append(trail)
-            return
-        if cur_end[0] != "n":
-            paths.append(trail)
-            return
-        nid = cur_end[1]
-        exts = []
-        for port in net.ports(nid):
-            e = ("n", nid, port)
-            if e == cur_end or e not in net.wires:
-                continue
-            if net.is_principal_end(cur_end) or net.is_principal_end(e):
-                exts.append(e)
-        if not exts:
-            paths.append(trail)
-            return
-        for e in sorted(exts):
-            walk(net.wires[e], trail + [edge_of(e)])
-
-    walk(net.wires[start_end], [edge_of(start_end)])
-    return paths
-
+# special boxes, strategies
 
 def is_special_box(net: ProofNet, box: Box, fuel: int = 10 ** 4) -> bool:
     """A box is special when every direct path leaving one of its premises
@@ -600,22 +485,5 @@ def check_lal_boxes(net: ProofNet) -> None:
 # export
 
 def proofnet_dot(net: ProofNet) -> str:
-    lines = ["graph proofnet {", "  node [shape=box];"]
-    for nid in sorted(net.nodes):
-        lines.append(f'  n{nid} [label="{net.nodes[nid]}{nid}"];')
-    for label in net.conclusions:
-        lines.append(f'  c_{label} [label="{label}" shape=plaintext];')
-    for a, b in net.edges():
-        def fmt(end: End) -> tuple[str, str]:
-            if end[0] == "c":
-                return f"c_{end[1]}", ""
-            mark = "*" if net.is_principal_end(end) else ""
-            return f"n{end[1]}", f"{end[2]}{mark}"
-        na, pa = fmt(a)
-        nb, pb = fmt(b)
-        lines.append(f'  {na} -- {nb} [taillabel="{pa}" headlabel="{pb}"];')
-    for bid in sorted(net.boxes):
-        members = " ".join(f"n{m}" for m in sorted(net.boxes[bid].members))
-        lines.append(f'  subgraph cluster_{bid} {{ {members} }}')
-    lines.append("}")
-    return "\n".join(lines)
+    return to_dot(net, "proofnet", "box", lambda nid: f"{net.nodes[nid]}{nid}",
+                  {bid: box.members for bid, box in net.boxes.items()})

@@ -9,23 +9,15 @@ collection rules, and leaving garbage in place is harmless.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+from .portgraph import End, PortGraph, principal_pairs, to_dot
 
 __all__ = [
     "SharingGraph", "SGStats", "MalformedGraph", "EraserCut",
     "find_cuts_sg", "reduce_step_sg", "normalize_sg",
     "count_maximal_paths", "canonical_form", "graph_dump", "graph_dot",
 ]
-
-SG_PORTS: dict[str, tuple[str, ...]] = {
-    "lam": ("pr", "var", "bod"),
-    "app": ("pr", "arg", "res"),
-    "fan": ("pr", "p", "q"),
-    "era": ("pr",),
-}
-
-End = tuple  # ("n", node_id, port) | ("c", label)
 
 
 class MalformedGraph(Exception):
@@ -44,75 +36,26 @@ class SGStats:
     peak_size: int = 0
 
 
-class SharingGraph:
+class SharingGraph(PortGraph):
+    PORTS = {
+        "lam": ("pr", "var", "bod"),
+        "app": ("pr", "arg", "res"),
+        "fan": ("pr", "p", "q"),
+        "era": ("pr",),
+    }
+    ROLES = {"lam": "mult", "app": "mult", "fan": "exp", "era": "none"}
+
     def __init__(self) -> None:
-        self.nodes: dict[int, str] = {}
+        super().__init__()
         self.index: dict[int, int] = {}  # fan node -> index
-        self.wires: dict[End, End] = {}
         self.free_ports: list[str] = []
-        self.k: int = 0  # number of exponential stacks carried by tokens
-        self._next = itertools.count()
 
     def add_node(self, kind: str, index: int | None = None) -> int:
-        nid = next(self._next)
-        self.nodes[nid] = kind
+        nid = super().add_node(kind)
         if kind == "fan":
             assert index is not None
             self.index[nid] = index
         return nid
-
-    def link(self, a: End, b: End) -> None:
-        assert a not in self.wires and b not in self.wires, "port already wired"
-        self.wires[a] = b
-        self.wires[b] = a
-
-    def unlink(self, a: End) -> End:
-        b = self.wires.pop(a)
-        del self.wires[b]
-        return b
-
-    def ports(self, nid: int) -> tuple[str, ...]:
-        return SG_PORTS[self.nodes[nid]]
-
-    def is_principal_end(self, end: End) -> bool:
-        return end[0] == "n" and end[2] == "pr"
-
-    def edges(self) -> list[tuple[End, End]]:
-        seen = set()
-        out = []
-        for a, b in self.wires.items():
-            key = (a, b) if a <= b else (b, a)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        return sorted(out)
-
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def eraser_edges(self) -> list[tuple[End, End]]:
-        """wpo(G): the edges incident to eraser nodes."""
-        out = []
-        for a, b in self.edges():
-            if (a[0] == "n" and self.nodes[a[1]] == "era") or \
-               (b[0] == "n" and self.nodes[b[1]] == "era"):
-                out.append((a, b))
-        return out
-
-    # -- token-machine interface -------------------------------------------
-
-    def machine_role(self, nid: int) -> tuple:
-        kind = self.nodes[nid]
-        if kind == "lam":
-            return ("mult", "pr", "var", "bod")
-        if kind == "app":
-            return ("mult", "pr", "arg", "res")
-        if kind == "fan":
-            return ("exp", "pr", "p", "q")
-        return ("none",)
-
-    def conclusion_end(self, label: str) -> End:
-        return ("c", label)
 
     @property
     def conclusions(self) -> list[str]:
@@ -124,9 +67,8 @@ class SharingGraph:
 
 def find_cuts_sg(g: SharingGraph) -> list[tuple[End, End]]:
     """All principal-principal edges, eraser cuts included, in a stable order."""
-    cuts = [e for e in g.edges()
-            if g.is_principal_end(e[0]) and g.is_principal_end(e[1])]
-    return sorted(cuts, key=lambda e: (min(e[0][1], e[1][1]), max(e[0][1], e[1][1])))
+    return sorted(principal_pairs(g),
+                  key=lambda e: (min(e[0][1], e[1][1]), max(e[0][1], e[1][1])))
 
 
 def _is_eraser_cut(g: SharingGraph, cut: tuple[End, End]) -> bool:
@@ -192,7 +134,7 @@ def _copy_through(g: SharingGraph, fan: int, other: int) -> None:
     """
     idx = g.index[fan]
     kind = g.nodes[other]
-    aux = SG_PORTS[kind][1:]
+    aux = g.ports(other)[1:]
 
     fan_p = g.unlink(("n", fan, "p"))
     fan_q = g.unlink(("n", fan, "q"))
@@ -331,21 +273,8 @@ def graph_dump(g: SharingGraph) -> str:
 
 
 def graph_dot(g: SharingGraph) -> str:
-    lines = ["graph sharing {", "  node [shape=circle];"]
-    for nid in sorted(g.nodes):
+    def label(nid: int) -> str:
         kind = g.nodes[nid]
-        label = f"fan{g.index[nid]}" if kind == "fan" else kind
-        lines.append(f'  n{nid} [label="{label}.{nid}"];')
-    for name in g.free_ports:
-        lines.append(f'  c_{name} [label="{name}" shape=plaintext];')
-    for a, b in g.edges():
-        def fmt(end: End) -> tuple[str, str]:
-            if end[0] == "c":
-                return f"c_{end[1]}", ""
-            mark = "*" if end[2] == "pr" else ""
-            return f"n{end[1]}", f"{end[2]}{mark}"
-        na, pa = fmt(a)
-        nb, pb = fmt(b)
-        lines.append(f'  {na} -- {nb} [taillabel="{pa}" headlabel="{pb}"];')
-    lines.append("}")
-    return "\n".join(lines)
+        return f"fan{g.index[nid]}.{nid}" if kind == "fan" else f"{kind}.{nid}"
+
+    return to_dot(g, "sharing", "circle", label)

@@ -60,31 +60,21 @@ def check_compatible(net: ProofNet, lab: Labelling) -> bool:
     return True
 
 
+# the net kinds that survive translation; the rest dissolve
+_GRAPH_KIND = {"RLolli": "lam", "LLolli": "app", "X": "fan", "W": "era"}
+
+
 def translate(net: ProofNet, lab: Labelling) -> SharingGraph:
     """Node-for-node translation: lambda/app survive, contractions become
     fans, weakenings become erasers, boxes and unary nodes dissolve."""
     if not check_compatible(net, lab):
         raise IncompatibleLabelling("labelling not compatible with depths")
     g = SharingGraph()
-    g.k = lab.k
     node_map: dict[int, int] = {}
     for nid in sorted(net.nodes):
-        kind = net.nodes[nid]
-        if kind == "RLolli":
-            node_map[nid] = g.add_node("lam")
-        elif kind == "LLolli":
-            node_map[nid] = g.add_node("app")
-        elif kind == "X":
-            node_map[nid] = g.add_node("fan", lab.mapping[nid])
-        elif kind == "W":
-            node_map[nid] = g.add_node("era")
-
-    port_map = {
-        "RLolli": {"pr": "pr", "var": "var", "bod": "bod"},
-        "LLolli": {"pr": "pr", "arg": "arg", "res": "res"},
-        "X": {"pr": "pr", "p": "p", "q": "q"},
-        "W": {"e": "pr"},
-    }
+        kind = _GRAPH_KIND.get(net.nodes[nid])
+        if kind is not None:
+            node_map[nid] = g.add_node(kind, lab.mapping.get(nid))
 
     def resolve(end) -> tuple:
         """Follow wires through dissolved unary nodes to a surviving end."""
@@ -96,24 +86,20 @@ def translate(net: ProofNet, lab: Labelling) -> SharingGraph:
             if end[0] == "c":
                 return ("c", end[1])
             nid, port = end[1], end[2]
-            kind = net.nodes[nid]
-            if kind in port_map:
-                return ("n", node_map[nid], port_map[kind][port])
+            if nid in node_map:
+                # a weakening's only port is the eraser's principal one
+                return ("n", node_map[nid], "pr" if port == "e" else port)
             other = "in" if port == "out" else "out"
             end = net.wires[("n", nid, other)]
 
     done: set[tuple] = set()
     for a, b in net.edges():
         for end in (a, b):
-            if end[0] == "c" or net.nodes[end[1]] in port_map:
+            if end[0] == "c" or end[1] in node_map:
                 src = resolve(end)
                 if src in done:
                     continue
-                if end[0] == "c":
-                    other_end = net.wires[end]
-                else:
-                    other_end = net.wires[end]
-                dst = resolve(other_end)
+                dst = resolve(net.wires[end])
                 if src == dst:
                     raise IncompatibleLabelling("degenerate loop through dissolved nodes")
                 done.add(src)

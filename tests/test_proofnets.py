@@ -1,5 +1,7 @@
 import copy
 
+import pytest
+
 from lamping.corpus import build
 from lamping.derivations import ax, bang, cut, lam, llolli
 from lamping.formulas import Atom, Lolli
@@ -236,3 +238,10 @@ def test_dot_export_deterministic(corpus_graphs):
     _, net, _, _ = corpus_graphs["running_example"]
     assert proofnet_dot(net) == proofnet_dot(net)
     assert "cluster_" in proofnet_dot(net)
+
+
+@pytest.mark.parametrize("name", ["identity", "running_example"])
+def test_build_rejects_unknown_mode(name):
+    _, d = build(name)
+    with pytest.raises(ValueError):
+        build_proofnet(d, "xal")
