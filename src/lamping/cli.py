@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .derivations import (DerivationSyntaxError, RuleViolation,
-                          check_derivation, parse_derivation)
+                          check_derivation, parse_derivation, show_derivation)
 from .formulas import show_formula
 from .pipeline import format_report, prepared_graph, run_pipeline
 from .proofnets import proofnet_dot
@@ -25,37 +25,19 @@ from .sharegraphs import graph_dot, normalize_sg
 from .terms import show_term
 
 
-def _load(path: str):
-    try:
-        return parse_derivation(Path(path).read_text())
-    except (OSError, DerivationSyntaxError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _checked(d, mode):
-    try:
-        return check_derivation(d, mode)
-    except RuleViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def cmd_check(args) -> int:
-    d = _load(args.file)
-    j = _checked(d, args.mode)
+    d = parse_derivation(Path(args.file).read_text())
     if args.annotate:
-        from .derivations import show_derivation
         print(show_derivation(d, judgements=True, mode=args.mode))
         return 0
+    j = check_derivation(d, args.mode)
     ctx = ", ".join(f"{n}:{show_formula(f)}" for n, f in j.ctx)
     print(f"{ctx} |- {show_term(j.subject)} : {show_formula(j.type)}")
     return 0
 
 
 def cmd_run(args) -> int:
-    d = _load(args.file)
-    _checked(d, args.mode)
+    d = parse_derivation(Path(args.file).read_text())
     stats = run_pipeline(d, mode=args.mode, translation=args.translation,
                          strategy=args.strategy, max_steps=args.max_steps,
                          probe_depth=args.probe_depth)
@@ -72,8 +54,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    d = _load(args.file)
-    _checked(d, args.mode)
+    d = parse_derivation(Path(args.file).read_text())
     net, lab, graph = prepared_graph(d, args.mode, args.translation)
     structure = net if args.on == "net" else graph
     if args.edge not in structure.conclusions:
@@ -94,8 +75,7 @@ def cmd_trace(args) -> int:
     if isinstance(res, Reached):
         print(f"reached {res.port} {show_ctx(res.ctx)}")
     elif isinstance(res, Stuck):
-        reason = "weakening" if res.reason == "weakening" else res.reason
-        print(f"stuck: {reason}")
+        print(f"stuck: {res.reason}")
     elif isinstance(res, FuelExhaustedRun):
         print("stuck: fuel exhausted")
     return 0
@@ -134,7 +114,11 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.set_defaults(fn=cmd_trace)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, DerivationSyntaxError, RuleViolation) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

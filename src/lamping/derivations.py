@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any
 
 from .formulas import (
-    Atom, Bang, Forall, Formula, Lolli, Mu, Para, contains_para, erase_para,
-    formula_eq, free_type_vars, parse_formula, show_formula, subst_formula,
-    unfold_mu,
+    Atom, Bang, Forall, Formula, FormulaSyntaxError, Lolli, Mu, Para,
+    contains_para, erase_para, formula_eq, free_type_vars, parse_formula,
+    show_formula, subst_formula, unfold_mu,
 )
 from .terms import Abs, App, Term, Var, free_vars, subst
 
@@ -198,6 +199,17 @@ def _fail(path: tuple[int, ...], reason: str) -> RuleViolation:
     return RuleViolation(path, reason)
 
 
+def _field(d: Derivation, path: tuple[int, ...], key: str, kind: Any) -> Any:
+    """The value of field `key`, which must be present and a `kind`."""
+    for k, v in d.data:
+        if k == key:
+            if not isinstance(v, kind):
+                raise _fail(path, f"{d.rule} field {key!r} must be a "
+                                  f"{getattr(kind, '__name__', 'formula')}")
+            return v
+    raise _fail(path, f"{d.rule} needs a field {key!r}")
+
+
 def _ctx_remove(ctx: tuple[tuple[str, Formula], ...], name: str) -> tuple[tuple[str, Formula], ...]:
     return tuple((n, f) for n, f in ctx if n != name)
 
@@ -230,14 +242,12 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
                 raise _fail(path, "paragraph modality is not an EAL connective")
 
     if d.rule == "A":
-        x, ty = d.get("var"), d.get("ty")
-        assert isinstance(x, str) and isinstance(ty, (Atom, Lolli, Bang, Para, Forall, Mu))
+        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
         return Judgement(((x, ty),), Var(x), ty)
 
     if d.rule == "U":
         left, right = subs
-        x = d.get("var")
-        assert isinstance(x, str)
+        x = _field(d, path, "var", str)
         xty = right.lookup(x)
         if xty is None:
             raise _fail(path, f"cut variable {x!r} not in right context")
@@ -248,16 +258,14 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "W":
         (p,) = subs
-        x, ty = d.get("var"), d.get("ty")
-        assert isinstance(x, str)
+        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
         if p.lookup(x) is not None:
             raise _fail(path, f"weakened variable {x!r} already in context")
-        return Judgement(p.ctx + ((x, ty),), p.subject, p.type)  # type: ignore[arg-type]
+        return Judgement(p.ctx + ((x, ty),), p.subject, p.type)
 
     if d.rule == "X":
         (p,) = subs
-        a, b, z = d.get("a"), d.get("b"), d.get("z")
-        assert isinstance(a, str) and isinstance(b, str) and isinstance(z, str)
+        a, b, z = (_field(d, path, k, str) for k in ("a", "b", "z"))
         aty, bty = p.lookup(a), p.lookup(b)
         if aty is None or bty is None:
             raise _fail(path, f"contraction variables {a!r},{b!r} not both in context")
@@ -273,8 +281,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "RLolli":
         (p,) = subs
-        x = d.get("var")
-        assert isinstance(x, str)
+        x = _field(d, path, "var", str)
         xty = p.lookup(x)
         if xty is None:
             raise _fail(path, f"abstracted variable {x!r} not in context")
@@ -282,8 +289,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "LLolli":
         parg, pbody = subs
-        y, x = d.get("fun"), d.get("var")
-        assert isinstance(y, str) and isinstance(x, str)
+        y, x = _field(d, path, "fun", str), _field(d, path, "var", str)
         xty = pbody.lookup(x)
         if xty is None:
             raise _fail(path, f"continuation variable {x!r} not in right context")
@@ -321,8 +327,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         if mode != LAL:
             raise _fail(path, "PPara is an LAL rule")
         (p,) = subs
-        banged = d.get("bang")
-        assert isinstance(banged, tuple)
+        banged = _field(d, path, "bang", tuple)
         names = p.ctx_names()
         for x in banged:
             if x not in names:
@@ -332,8 +337,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "RForall":
         (p,) = subs
-        tv = d.get("tv")
-        assert isinstance(tv, str)
+        tv = _field(d, path, "tv", str)
         for n, f in p.ctx:
             if tv in free_type_vars(f):
                 raise _fail(path, f"type variable {tv!r} occurs free in the type of {n!r}")
@@ -341,12 +345,12 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "LForall":
         (p,) = subs
-        x, ty, wit = d.get("var"), d.get("ty"), d.get("wit")
-        assert isinstance(x, str) and isinstance(ty, Forall)
+        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Forall)
+        wit = _field(d, path, "wit", Formula)
         xty = p.lookup(x)
         if xty is None:
             raise _fail(path, f"variable {x!r} not in context")
-        expected = subst_formula(ty.body, ty.var, wit)  # type: ignore[arg-type]
+        expected = subst_formula(ty.body, ty.var, wit)
         if not formula_eq(xty, expected):
             raise _fail(path, f"instantiation mismatch: hypothesis {show_formula(xty)} "
                               f"!= {show_formula(expected)}")
@@ -355,8 +359,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "RMu":
         (p,) = subs
-        ty = d.get("ty")
-        assert isinstance(ty, Mu)
+        ty = _field(d, path, "ty", Mu)
         if not formula_eq(p.type, unfold_mu(ty)):
             raise _fail(path, f"fold mismatch: subject has {show_formula(p.type)}, "
                               f"expected {show_formula(unfold_mu(ty))}")
@@ -364,8 +367,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "LMu":
         (p,) = subs
-        x, ty = d.get("var"), d.get("ty")
-        assert isinstance(x, str) and isinstance(ty, Mu)
+        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Mu)
         xty = p.lookup(x)
         if xty is None:
             raise _fail(path, f"variable {x!r} not in context")
@@ -442,14 +444,7 @@ def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
 
 
 def parse_derivation(text: str) -> Derivation:
-    toks: list[str] = []
-    i = 0
-    while i < len(text):
-        m = _D_TOKEN.match(text, i)
-        if not m:
-            break
-        toks.append(m.group(1))
-        i = m.end()
+    toks: list[str] = _D_TOKEN.findall(text)
     pos = 0
 
     def parse_node() -> Derivation:
@@ -464,17 +459,21 @@ def parse_derivation(text: str) -> Derivation:
         data: list[tuple[str, object]] = []
         while pos < len(toks) and toks[pos] == "{":
             pos += 1
-            key = toks[pos]
-            pos += 1
             raw: list[str] = []
             while pos < len(toks) and toks[pos] != "}":
                 raw.append(toks[pos])
                 pos += 1
             if pos >= len(toks):
                 raise DerivationSyntaxError("unterminated field")
+            if not raw:
+                raise DerivationSyntaxError(f"empty field at token {pos}")
             pos += 1
+            key, raw = raw[0], raw[1:]
             if key in _FORMULA_KEYS:
-                data.append((key, parse_formula(" ".join(raw))))
+                try:
+                    data.append((key, parse_formula(" ".join(raw))))
+                except FormulaSyntaxError as e:
+                    raise DerivationSyntaxError(f"field {key!r}: {e}") from None
             elif key in _LIST_KEYS:
                 data.append((key, tuple(raw)))
             else:
@@ -493,7 +492,10 @@ def parse_derivation(text: str) -> Derivation:
         if pos >= len(toks) or toks[pos] != ")":
             raise DerivationSyntaxError(f"expected ')' at token {pos}")
         pos += 1
-        return Derivation(rule, tuple(data), tuple(premises))
+        try:
+            return Derivation(rule, tuple(data), tuple(premises))
+        except ValueError as e:
+            raise DerivationSyntaxError(str(e)) from None
 
     d = parse_node()
     if pos != len(toks):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-__all__ = ["End", "PortGraph", "principal_pairs", "to_dot"]
+__all__ = ["End", "PortGraph", "is_cut", "principal_pairs", "to_dot"]
 
 End = tuple  # ("n", node_id, port) | ("c", label)
 
@@ -81,6 +81,12 @@ class PortGraph:
     def machine_role(self, nid: int) -> tuple:
         """("mult" | "exp", principal, p-port, q-port), ("id", out, in) or ("none",)."""
         return self._roles[self.nodes[nid]]
+
+
+def is_cut(g: PortGraph, edge: tuple[End, End]) -> bool:
+    """Whether `edge`, as (lower end, higher end), wires two principal ports."""
+    a, b = edge
+    return a <= b and g.wires.get(a) == b and g.is_principal_end(a) and g.is_principal_end(b)
 
 
 def principal_pairs(g: PortGraph) -> list[tuple[End, End]]:

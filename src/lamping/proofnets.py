@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .derivations import Derivation, check_annotated
-from .portgraph import End, PortGraph, principal_pairs, to_dot
+from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
 
 __all__ = [
     "ProofNet", "Box", "StepReport", "MalformedNet",
@@ -296,7 +296,7 @@ def _box_with_aux(net: ProofNet, nid: int) -> tuple[int, Box]:
 
 def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
     """Fire one cut in place. Depths of surviving edges are unchanged."""
-    if cut not in find_cuts(net):
+    if not is_cut(net, cut):
         raise MalformedNet(f"not a cut: {cut}")
     kind, na, nb = _cut_kind(net, cut)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .portgraph import End, PortGraph, principal_pairs, to_dot
+from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
 
 __all__ = [
     "SharingGraph", "SGStats", "MalformedGraph", "EraserCut",
@@ -77,7 +77,7 @@ def _is_eraser_cut(g: SharingGraph, cut: tuple[End, End]) -> bool:
 
 def reduce_step_sg(g: SharingGraph, cut: tuple[End, End]) -> str:
     """Fire one cut in place; returns 'annihilation' or 'copy'."""
-    if cut not in find_cuts_sg(g):
+    if not is_cut(g, cut):
         raise MalformedGraph(f"not a cut: {cut}")
     if _is_eraser_cut(g, cut):
         raise EraserCut(str(cut))

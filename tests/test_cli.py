@@ -1,11 +1,19 @@
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import lamping.derivations
 from lamping.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNING = str(ROOT / "corpus" / "running_example.eal")
+# inputs that parse but fail a field check: A without `var`, RMu with a non-mu type
+MISSING_FIELD = "(A {ty a})"
+WRONG_FIELD_TYPE = "(RMu {ty a} (A {var x} {ty a}))"
 
 
 def _run(argv, capsys):
@@ -110,6 +118,86 @@ def test_input_error_exit_code(tmp_path, capsys):
 """)
     code, _, err = _run(["check", str(ill)], capsys)
     assert code == 2
+
+    missing = tmp_path / "missing.eal"
+    missing.write_text(MISSING_FIELD)
+    wrong = tmp_path / "wrong.eal"
+    wrong.write_text(WRONG_FIELD_TYPE)
+    for path in (bad, ill, missing, wrong):
+        for argv in (["check"], ["run"], ["trace", "--edge", "main", "--ctx", ""]):
+            code, out, err = _run(argv[:1] + [str(path)] + argv[1:], capsys)
+            assert (code, out) == (2, ""), (argv, path.name)
+            assert err.startswith("error: "), (argv, path.name)
+
+
+@pytest.mark.parametrize("argv,checks", [
+    (["run"], 2),  # run_pipeline's own check, then build_proofnet's
+    (["check"], 1),
+    (["check", "--annotate"], 1),
+    (["trace", "--edge", "f", "--ctx", "|pq"], 1),
+], ids=["run", "check", "check-annotate", "trace"])
+def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, argv, checks):
+    calls = []
+    check_all = lamping.derivations._check_all
+
+    def counting(*args):
+        calls.append(args)
+        return check_all(*args)
+
+    monkeypatch.setattr(lamping.derivations, "_check_all", counting)
+    code, _, _ = _run(argv[:1] + [RUNNING] + argv[1:], capsys)
+    assert code == 0
+    assert len(calls) == checks
+
+
+def test_pn_mlbl_reports_graph_bounds_as_not_applicable(capsys):
+    """The step and size bounds are about sharing-graph rewriting, which
+    the pn-mlbl route does not do; it must not pass them vacuously."""
+    path = str(ROOT / "corpus" / "two_compose_two_applied.eal")
+    code, out, _ = _run(["run", path, "--strategy", "pn-mlbl"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "proofnet.steps 14" in lines
+    assert "bound.steps_ok n/a" in lines
+    assert "bound.size_ok n/a" in lines
+    assert "verdict pass" in lines
+    code, out, _ = _run(["run", path], capsys)
+    assert code == 0
+    assert "bound.steps_ok true" in out.splitlines()
+
+
+def test_mutated_inputs_end_in_an_exit_code(tmp_path, capsys):
+    """400 seeded single-character substitutions, deletions and insertions
+    on a corpus file: each run passes, fails or is rejected as input."""
+    text = Path(RUNNING).read_text()
+    alphabet = sorted(set(text))
+    rng = random.Random(0)
+    path = tmp_path / "mutant.eal"
+    escapes = []
+    for _ in range(400):
+        i, op, c = rng.randrange(len(text)), rng.choice("sdi"), rng.choice(alphabet)
+        mutant = text[:i] + ("" if op == "d" else c) + text[i + (op != "i"):]
+        path.write_text(mutant)
+        try:
+            code = main(["run", str(path)])
+        except Exception as e:
+            escapes.append((mutant, repr(e)))
+            continue
+        assert code in (0, 1, 2), mutant
+    capsys.readouterr()
+    assert escapes == []
+
+
+@pytest.mark.parametrize("text", [MISSING_FIELD, WRONG_FIELD_TYPE])
+def test_malformed_fields_rejected_under_optimize(tmp_path, text):
+    """Field checks must not be asserts, which `python -O` removes."""
+    path = tmp_path / "bad.eal"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-m", "lamping.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: at node ")
 
 
 def test_dot_export(tmp_path, capsys):

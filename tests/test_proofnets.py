@@ -245,3 +245,31 @@ def test_build_rejects_unknown_mode(name):
     _, d = build(name)
     with pytest.raises(ValueError):
         build_proofnet(d, "xal")
+
+
+def test_normalize_scans_for_cuts_once_per_step(monkeypatch, corpus_graphs):
+    """One scan picks each step's cut and one finds none left; firing a
+    cut looks it up instead of scanning again."""
+    import lamping.proofnets
+    scans = []
+    scan = lamping.proofnets.find_cuts
+
+    def counting(net):
+        scans.append(net)
+        return scan(net)
+
+    monkeypatch.setattr(lamping.proofnets, "find_cuts", counting)
+    for name, (_, net, _, _) in corpus_graphs.items():
+        scans.clear()
+        _, steps = normalize_mlbl(copy.deepcopy(net))
+        assert len(scans) == steps + 1, name
+
+
+def test_is_cut_agrees_with_the_scans(corpus_graphs):
+    from lamping.portgraph import is_cut
+    from lamping.sharegraphs import find_cuts_sg
+    for name, (_, net, _, g) in corpus_graphs.items():
+        for graph, cuts in ((net, find_cuts(net)), (g, find_cuts_sg(g))):
+            for a, b in graph.edges():
+                assert is_cut(graph, (a, b)) == ((a, b) in cuts), name
+                assert not is_cut(graph, (b, a)), name

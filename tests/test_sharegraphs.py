@@ -246,3 +246,21 @@ def test_dump_and_dot_deterministic(corpus_graphs):
     assert graph_dump(g) == graph_dump(g)
     assert graph_dot(g) == graph_dot(g)
     assert "fan0" in graph_dot(g)
+
+
+def test_normalize_scans_for_cuts_once_per_step(monkeypatch, corpus_graphs):
+    """One scan picks each step's cut and one finds none left; firing a
+    cut looks it up instead of scanning again."""
+    import lamping.sharegraphs
+    scans = []
+    scan = lamping.sharegraphs.find_cuts_sg
+
+    def counting(g):
+        scans.append(g)
+        return scan(g)
+
+    monkeypatch.setattr(lamping.sharegraphs, "find_cuts_sg", counting)
+    for name, (_, _, _, g) in corpus_graphs.items():
+        scans.clear()
+        _, stats = normalize_sg(copy.deepcopy(g))
+        assert len(scans) == stats.steps + 1, name
