@@ -119,6 +119,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, DerivationSyntaxError, RuleViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # Stop-gap: the parser, checker, builder and readback recurse once
+        # per level of the input, so depth is bounded by Python's recursion
+        # limit until they use explicit stacks.
+        print(f"error: {args.file}: derivation or term nested too deeply "
+              f"for Python's recursion limit ({sys.getrecursionlimit()})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

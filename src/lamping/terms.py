@@ -163,16 +163,25 @@ def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
 
 def subst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding substitution t{u/x}."""
+    return _subst(t, x, u, [])
+
+
+def _subst(t: Term, x: str, u: Term, fu: list[frozenset[str]]) -> Term:
+    # fu is empty until an abstraction needs free_vars(u) and then holds it:
+    # one substitution computes it at most once, and not at all in a term
+    # without binders
     if isinstance(t, Var):
         return u if t.name == x else t
     if isinstance(t, App):
-        return App(subst(t.fun, x, u), subst(t.arg, x, u))
+        return App(_subst(t.fun, x, u, fu), _subst(t.arg, x, u, fu))
     if t.binder == x:
         return t
-    if t.binder in free_vars(u) and x in free_vars(t.body):
-        b = fresh_name(t.binder, free_vars(u) | free_vars(t.body) | {x})
-        return Abs(b, subst(subst(t.body, t.binder, Var(b)), x, u))
-    return Abs(t.binder, subst(t.body, x, u))
+    if not fu:
+        fu.append(free_vars(u))
+    if t.binder in fu[0] and x in free_vars(t.body):
+        b = fresh_name(t.binder, fu[0] | free_vars(t.body) | {x})
+        return Abs(b, _subst(subst(t.body, t.binder, Var(b)), x, u, fu))
+    return Abs(t.binder, _subst(t.body, x, u, fu))
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -221,14 +230,58 @@ def is_normal(t: Term) -> bool:
 
 
 def beta_normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+    """The normal form of t by leftmost-outermost reduction, in one pass.
+
+    Contracts the same redexes in the same order as repeating `beta_step`
+    from the root, so the result is the same term, binder names included,
+    but each redex is found once: unwind the application spine, contract
+    while the head is an abstraction with an argument, go under an
+    abstraction, and at a variable head normalize the arguments left to
+    right. An explicit stack replaces recursion. Each contraction is one
+    call of `beta_step` on the redex. Raises FuelExhausted when t needs
+    `fuel` or more contractions.
+    """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    for _ in range(fuel):
-        u = beta_step(t)
-        if u is None:
+    budget = fuel - 1  # contractions allowed
+    # Each frame waits for the normal form of one subterm: a binder wraps it
+    # in an abstraction; a pair [head, args] applies the normal head to it
+    # and goes on with the next argument (args.pop() is the leftmost).
+    frames: list[str | list] = []
+    while True:
+        args: list[Term] = []
+        while True:
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fun
+            if not (args and isinstance(t, Abs)):
+                break
+            if not budget:
+                raise FuelExhausted(f"no normal form within {fuel} steps")
+            budget -= 1
+            t = beta_step(App(t, args.pop()))
+        if isinstance(t, Abs):
+            frames.append(t.binder)
+            t = t.body
+            continue
+        if args:
+            frames.append([t, args])
+            t = args.pop()
+            continue
+        # t is normal: hand it up until a frame has an argument left
+        while frames:
+            frame = frames[-1]
+            if isinstance(frame, str):
+                t = Abs(frame, t)
+            else:
+                frame[0] = App(frame[0], t)
+                if frame[1]:
+                    t = frame[1].pop()
+                    break
+                t = frame[0]
+            frames.pop()
+        else:
             return t
-        t = u
-    raise FuelExhausted(f"no normal form within {fuel} steps")
 
 
 # ---------------------------------------------------------------------------

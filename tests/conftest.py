@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from lamping.corpus import CORPUS, build
 from lamping.pipeline import prepared_graph
+
+# property tests draw the same examples on every run, so a failure reproduces
+settings.register_profile("seeded", derandomize=True)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,24 @@ def test_malformed_fields_rejected_under_optimize(tmp_path, text):
     assert proc.stderr.startswith("error: at node ")
 
 
+def test_deeply_nested_input_is_an_input_error(tmp_path):
+    """1000 nested weakenings exceed the recursive parser's depth; the
+    CLI reports that as an input error, not a traceback."""
+    text = "(A {var x} {ty a})"
+    for i in range(1000):
+        text = f"(W {{var y{i}}} {{ty a}} {text})"
+    path = tmp_path / "deep.eal"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for command in ("check", "run"):
+        proc = subprocess.run([sys.executable, "-m", "lamping.cli", command, str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, ""), command
+        assert proc.stderr.startswith("error: "), command
+        assert "nested too deeply" in proc.stderr, command
+        assert "Traceback" not in proc.stderr, command
+
+
 def test_dot_export(tmp_path, capsys):
     code, _, _ = _run(["run", RUNNING, "--dot", str(tmp_path / "dots")], capsys)
     assert code == 0

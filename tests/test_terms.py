@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import lamping.terms
 from lamping.terms import (
     Abs, App, FuelExhausted, NotNormal, TermSyntaxError, Var, alpha_eq,
-    beta_normalize, head_decompose, head_reassemble, is_normal, parse_term,
-    show_term,
+    beta_normalize, beta_step, free_vars, fresh_name, head_decompose,
+    head_reassemble, is_normal, parse_term, show_term, subst,
 )
+
+TWO = "(\\s.\\z.s (s z))"
 
 
 def test_parse_identity():
@@ -44,8 +49,7 @@ def test_beta_running_example():
 
 
 def test_beta_church_two_squared():
-    two = "(\\s.\\z.s (s z))"
-    t = beta_normalize(parse_term(f"{two} {two} s z"))
+    t = beta_normalize(parse_term(f"{TWO} {TWO} s z"))
     assert alpha_eq(t, parse_term("s (s (s (s z)))"))
 
 
@@ -91,6 +95,145 @@ def test_head_decompose_rejects_redex():
 def test_term_size():
     from lamping.terms import term_size
     assert term_size(parse_term("\\x.f x x")) == 6
+
+
+# -- the one-pass oracle against a restart-from-root reference ----------------
+
+def _reference_normalize(t, fuel):
+    """Search for the leftmost-outermost redex from the root before every
+    contraction; returns the normal form and the number of contractions.
+    A term that needs `fuel` or more contractions exhausts the fuel."""
+    for steps in range(fuel):
+        u = beta_step(t)
+        if u is None:
+            return t, steps
+        t = u
+    raise FuelExhausted
+
+
+def _same(a, b):
+    """Structural equality, binder names included, without recursion."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Var):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Abs):
+            if a.binder != b.binder:
+                return False
+            todo.append((a.body, b.body))
+        else:
+            todo.append((a.fun, b.fun))
+            todo.append((a.arg, b.arg))
+    return True
+
+
+def _s_power(t):
+    """n when t is S applied n times to Z, else None; walks iteratively."""
+    n = 0
+    while isinstance(t, App) and t.fun == Var("S"):
+        t, n = t.arg, n + 1
+    return n if t == Var("Z") else None
+
+
+NAMES = ["a", "b", "c", "f", "x", "y", "z"]
+
+
+def _random_term(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return Var(rng.choice(NAMES))
+    if roll < 0.45:
+        return Abs(rng.choice(NAMES), _random_term(rng, depth - 1))
+    if roll < 0.7:  # a redex, so that most terms need several contractions
+        return App(Abs(rng.choice(NAMES), _random_term(rng, depth - 1)),
+                   _random_term(rng, depth - 1))
+    return App(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+
+
+def test_normalize_matches_the_restart_from_root_reference():
+    rng = random.Random(0)
+    diverging = [parse_term(text) for text in (
+        "(\\x.x x) (\\x.x x)", "(\\x.x x x) (\\x.x x x)",
+        "\\y.f y ((\\x.x x) (\\x.x x))")]
+    outcomes = set()
+    for t in diverging + [_random_term(rng, rng.randint(2, 6)) for _ in range(2000)]:
+        try:
+            expected, needed = _reference_normalize(t, 100)
+        except FuelExhausted:
+            with pytest.raises(FuelExhausted):
+                beta_normalize(t, 100)
+            outcomes.add("diverges")
+            continue
+        outcomes.add(min(needed, 2))
+        for fuel in {1, needed, needed + 1} - {0}:
+            if fuel <= needed:
+                with pytest.raises(FuelExhausted):
+                    beta_normalize(t, fuel)
+            else:
+                assert _same(beta_normalize(t, fuel), expected), show_term(t)
+    assert outcomes == {0, 1, 2, "diverges"}
+
+
+def _reference_subst(t, x, u):
+    """t{u/x}, recomputing free_vars(u) at every abstraction."""
+    if isinstance(t, Var):
+        return u if t.name == x else t
+    if isinstance(t, App):
+        return App(_reference_subst(t.fun, x, u), _reference_subst(t.arg, x, u))
+    if t.binder == x:
+        return t
+    if t.binder in free_vars(u) and x in free_vars(t.body):
+        b = fresh_name(t.binder, free_vars(u) | free_vars(t.body) | {x})
+        return Abs(b, _reference_subst(_reference_subst(t.body, t.binder, Var(b)), x, u))
+    return Abs(t.binder, _reference_subst(t.body, x, u))
+
+
+def test_subst_matches_the_reference_including_fresh_names():
+    def binders(t):
+        todo, out = [t], set()
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Abs):
+                out.add(t.binder)
+                todo.append(t.body)
+            elif isinstance(t, App):
+                todo += [t.fun, t.arg]
+        return out
+
+    rng = random.Random(1)
+    renamed = 0
+    for _ in range(3000):
+        t, u, x = _random_term(rng, 5), _random_term(rng, 3), rng.choice(NAMES)
+        expected = _reference_subst(t, x, u)
+        assert _same(subst(t, x, u), expected), (show_term(t), x, show_term(u))
+        renamed += not binders(expected) <= binders(t) | binders(u)
+    assert renamed  # some cases took a fresh binder to avoid capture
+
+
+def test_each_contraction_is_one_beta_step_call(monkeypatch):
+    t = parse_term(f"{TWO} {TWO} {TWO} s z")
+    expected, needed = _reference_normalize(t, 1000)
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return beta_step(u)
+
+    monkeypatch.setattr(lamping.terms, "beta_step", counting)
+    assert _same(beta_normalize(t), expected)
+    assert len(calls) == needed > 0
+
+
+def test_tower_12_normalizes_without_recursion_limit():
+    """\\s. 2 (2 (... (2 s))) with 12 twos, applied to S Z: the normal
+    form is 4096 applications deep, past the default recursion limit."""
+    k = 12
+    t = parse_term(f"(\\s.{f'{TWO} (' * k}s{')' * k}) S Z")
+    assert _s_power(beta_normalize(t)) == 2 ** k
 
 
 # -- property tests ----------------------------------------------------------
