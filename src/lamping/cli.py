@@ -5,7 +5,7 @@
                  [--max-steps N] [--probe-depth D] [--dot DIR]
     lamping trace FILE --edge E --ctx "S1|...|Sk|T" [...]
 
-Exit codes: 0 pass, 1 verdict fail, 2 input error.
+Exit codes: 0 pass, 1 verdict fail, 2 input error or step budget run out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .proofnets import proofnet_dot
 from .semantics import (FuelExhaustedRun, Reached, Stuck, parse_ctx, run_token,
                         show_ctx)
 from .sharegraphs import graph_dot, normalize_sg
-from .terms import show_term
+from .terms import FuelExhausted, show_term
 
 
 def cmd_check(args) -> int:
@@ -114,10 +114,15 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.set_defaults(fn=cmd_trace)
 
     args = ap.parse_args(argv)
+    if getattr(args, "max_steps", 1) < 1:
+        ap.error(f"argument --max-steps: must be at least 1, got {args.max_steps}")
     try:
         return args.fn(args)
     except (OSError, DerivationSyntaxError, RuleViolation) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except FuelExhausted as e:
+        print(f"error: {args.file}: {e}", file=sys.stderr)
         return 2
     except RecursionError:
         # Stop-gap: the parser, checker, builder and readback recurse once

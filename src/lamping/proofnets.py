@@ -1,8 +1,10 @@
 """Proof-nets for EAL/LAL: construction, boxes, cuts, and reduction.
 
-Nets are port graphs (see portgraph.py). Boxes are explicit node sets
-with door lists, so the contraction step can copy exactly a box's
-contents.
+Nets are port graphs (see portgraph.py). Boxes form a tree: each box
+is keyed by its principal door and keeps its auxiliary doors and the
+principal door of the box around it, and `box_of` maps every node inside
+a box to its innermost box. A node's depth walks the parent links; the
+contraction step derives a box's contents from the map to copy them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .derivations import Derivation, check_annotated
 from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
+from .terms import FuelExhausted
 
 __all__ = [
     "ProofNet", "Box", "StepReport", "MalformedNet",
@@ -29,18 +32,10 @@ class MalformedNet(Exception):
     pass
 
 
-def _new_box_id(net: "ProofNet") -> int:
-    bid = 0
-    while bid in net.boxes:
-        bid += 1
-    return bid
-
-
 @dataclass
 class Box:
-    principal_door: int
     aux_doors: list[int]
-    members: set[int]  # every node inside, door nodes included
+    parent: int | None  # principal door of the enclosing box
 
 
 @dataclass
@@ -67,7 +62,10 @@ class ProofNet(PortGraph):
 
     def __init__(self) -> None:
         super().__init__()
-        self.boxes: dict[int, Box] = {}
+        self.boxes: dict[int, Box] = {}  # keyed by principal door
+        # node inside a box -> principal door of its innermost box; doors
+        # map to their own box, nodes at depth 0 are absent
+        self.box_of: dict[int, int] = {}
         self.conclusions: list[str] = []
 
     def attach(self, new_end: End, old_end: End) -> None:
@@ -83,7 +81,20 @@ class ProofNet(PortGraph):
         self.link(pa, pb)
 
     def node_depth(self, nid: int) -> int:
-        return sum(1 for b in self.boxes.values() if nid in b.members)
+        depth, b = 0, self.box_of.get(nid)
+        while b is not None:
+            depth, b = depth + 1, self.boxes[b].parent
+        return depth
+
+    def box_contents(self, r: int) -> set[int]:
+        """Every node inside the box with principal door r, doors and
+        nested boxes included."""
+        def within(b: int | None) -> bool:
+            while b is not None and b != r:
+                b = self.boxes[b].parent
+            return b == r
+        nested = {b for b in self.boxes if within(b)}
+        return {n for n, b in self.box_of.items() if b in nested}
 
     def end_depth(self, end: End) -> int:
         if end[0] == "c":
@@ -179,9 +190,9 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
             return m2, hyps
 
         if rule in ("PBang", "PBang1", "PBang2", "PPara"):
-            before = set(net.nodes)
+            start = len(net.nodes)  # no node is removed while building
             m, h = go(node.premises[0], path + (0,))
-            inner_nodes = set(net.nodes) - before
+            inner = range(start, len(net.nodes))
             banged: tuple[str, ...] = ()
             if rule == "PPara":
                 banged = node.get("bang")  # type: ignore[assignment]
@@ -200,8 +211,13 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
                 net.link(("n", l, "out"), s)
                 new_h[name] = s
                 doors.append(l)
-            net.boxes[_new_box_id(net)] = Box(principal_door=r, aux_doors=doors[1:],
-                                              members=inner_nodes | set(doors))
+            for n in inner:
+                if n not in net.box_of:
+                    net.box_of[n] = r
+                elif n in net.boxes and net.boxes[n].parent is None:
+                    net.boxes[n].parent = r
+            net.box_of.update(dict.fromkeys(doors, r))
+            net.boxes[r] = Box(aux_doors=doors[1:], parent=None)
             return m2, new_h
 
         if rule in ("RForall", "RMu"):
@@ -271,27 +287,7 @@ def _cut_kind(net: ProofNet, cut: tuple[End, End]) -> tuple[str, int, int]:
 
 def _remove_node(net: ProofNet, nid: int) -> None:
     del net.nodes[nid]
-    for b in net.boxes.values():
-        b.members.discard(nid)
-
-
-def _boxes_strictly_containing(net: ProofNet, box: Box) -> list[Box]:
-    return [b for b in net.boxes.values()
-            if b is not box and box.principal_door in b.members]
-
-
-def _box_with_principal(net: ProofNet, nid: int) -> tuple[int, Box]:
-    for bid, b in net.boxes.items():
-        if b.principal_door == nid:
-            return bid, b
-    raise MalformedNet(f"node {nid} is not a principal door")
-
-
-def _box_with_aux(net: ProofNet, nid: int) -> tuple[int, Box]:
-    for bid, b in net.boxes.items():
-        if nid in b.aux_doors:
-            return bid, b
-    raise MalformedNet(f"node {nid} is not an auxiliary door")
+    net.box_of.pop(nid, None)
 
 
 def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
@@ -317,44 +313,44 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
 
     if kind == "merge":
         # box of na enters the box owning aux door nb
-        _, inner_box = _box_with_principal(net, na)
-        host_id, host_box = _box_with_aux(net, nb)
+        inner_box = net.boxes.pop(na)
+        host = net.box_of[nb]
         net.unlink(("n", na, "out"))
         net.splice(("n", na, "in"), ("n", nb, "in"))
-        inner_box.members.discard(na)
-        host_box.members |= inner_box.members
+        for n, b in net.box_of.items():
+            if b == na:
+                net.box_of[n] = host
+        for b in net.boxes.values():
+            if b.parent == na:
+                b.parent = host
+        host_box = net.boxes[host]
         host_box.aux_doors = [x for x in host_box.aux_doors if x != nb] + inner_box.aux_doors
-        for bid, b in list(net.boxes.items()):
-            if b is inner_box:
-                del net.boxes[bid]
-                break
         _remove_node(net, na)
         _remove_node(net, nb)
         return StepReport("merge", removed=[na, nb])
 
     assert kind == "contract"
     x, r = na, nb
-    _, box = _box_with_principal(net, r)
-    outer_boxes = _boxes_strictly_containing(net, box)
-    x_boxes = [b for b in net.boxes.values() if x in b.members]
+    box = net.boxes[r]
+    members = sorted(net.box_contents(r))
+    inside = set(members)
 
     copies: list[dict[int, int]] = []
     for _i in range(2):
-        m = {old: net.add_node(net.nodes[old]) for old in sorted(box.members)}
+        m = {old: net.add_node(net.nodes[old]) for old in members}
         copies.append(m)
-        # duplicate the boxes living inside (including this box itself)
-        for bid, b in list(net.boxes.items()):
-            if b.principal_door in box.members:
-                net.boxes[_new_box_id(net)] = Box(
-                    principal_door=m[b.principal_door],
-                    aux_doors=[m[a] for a in b.aux_doors],
-                    members={m[n] for n in b.members})
-        for b in outer_boxes:
-            b.members |= set(m.values())
+        # duplicate the boxes living inside (including this box itself);
+        # the copy of this box sits where this box sits
+        for old in members:
+            net.box_of[m[old]] = m[net.box_of[old]]
+            if old in net.boxes:
+                b = net.boxes[old]
+                net.boxes[m[old]] = Box([m[a] for a in b.aux_doors],
+                                        box.parent if old == r else m[b.parent])
         # internal wires
         for a, bnd in net.edges():
-            a_in = a[0] == "n" and a[1] in box.members
-            b_in = bnd[0] == "n" and bnd[1] in box.members
+            a_in = a[0] == "n" and a[1] in inside
+            b_in = bnd[0] == "n" and bnd[1] in inside
             if a_in and b_in:
                 net.link(("n", m[a[1]], a[2]), ("n", m[bnd[1]], bnd[2]))
             elif a_in or b_in:
@@ -375,19 +371,17 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         net.link(("n", xj, "p"), ("n", copies[0][door], "out"))
         net.link(("n", xj, "q"), ("n", copies[1][door], "out"))
         net.link(("n", xj, "pr"), target)
-        for b in x_boxes:
-            b.members.add(xj)
+        if x in net.box_of:
+            net.box_of[xj] = net.box_of[x]
         fresh.append(xj)
 
     net.unlink(("n", x, "pr"))
-    removed = [x] + sorted(box.members)
-    for end in [e for e in net.wires if e[0] == "n" and e[1] in box.members]:
+    removed = [x] + members
+    for end in [e for e in net.wires if e[0] == "n" and e[1] in inside]:
         if end in net.wires:
             net.unlink(end)
-    for bid, b in list(net.boxes.items()):
-        if b is box or b.principal_door in box.members:
-            del net.boxes[bid]
-    for old in sorted(box.members):
+    for old in members:
+        net.boxes.pop(old, None)
         _remove_node(net, old)
     _remove_node(net, x)
     return StepReport("contract", removed=removed,
@@ -446,8 +440,7 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
                 break
             kind, _na, nb = _cut_kind(net, cut)
             if kind == "contract":
-                _, box = _box_with_principal(net, nb)
-                if not is_special_box(net, box):
+                if not is_special_box(net, net.boxes[nb]):
                     continue
             chosen = cut
             break
@@ -461,15 +454,15 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
             labelling.mapping.update(updated.mapping)
         steps += 1
         if steps > fuel:
-            raise MalformedNet(f"normalization exceeded {fuel} steps")
+            raise FuelExhausted(f"normalization exceeded {fuel} steps")
 
 
 def check_lal_boxes(net: ProofNet) -> None:
     """Door-count discipline: !-boxes have at most one auxiliary door and
     it must be a !-door; paragraph boxes allow any mix of ! and paragraph
     doors."""
-    for b in net.boxes.values():
-        pk = net.nodes[b.principal_door]
+    for r, b in net.boxes.items():
+        pk = net.nodes[r]
         aux_kinds = [net.nodes[a] for a in b.aux_doors]
         if pk == "RBang":
             if len(b.aux_doors) > 1 or any(k != "LBang" for k in aux_kinds):
@@ -486,4 +479,4 @@ def check_lal_boxes(net: ProofNet) -> None:
 
 def proofnet_dot(net: ProofNet) -> str:
     return to_dot(net, "proofnet", "box", lambda nid: f"{net.nodes[nid]}{nid}",
-                  {bid: box.members for bid, box in net.boxes.items()})
+                  {i: net.box_contents(r) for i, r in enumerate(sorted(net.boxes))})

@@ -251,10 +251,6 @@ class WeightReport:
     per_node: dict[int, tuple[int, int, int]]
     total: int | float  # math.inf when some exploration exhausts its fuel
 
-    def node_total(self, nid: int) -> int:
-        b, p, e = self.per_node[nid]
-        return b + p + e - 1
-
 
 def _minimal_filter(ctxs: list[Ctx]) -> list[Ctx]:
     def leq(a: Ctx, b: Ctx) -> bool:

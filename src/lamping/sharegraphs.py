@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
+from .terms import FuelExhausted
 
 __all__ = [
     "SharingGraph", "SGStats", "MalformedGraph", "EraserCut",
@@ -170,7 +171,7 @@ def normalize_sg(g: SharingGraph, fuel: int = 10 ** 5) -> tuple[SharingGraph, SG
             stats.copies += 1
         stats.peak_size = max(stats.peak_size, g.size())
         if stats.steps > fuel:
-            raise MalformedGraph(f"normalization exceeded {fuel} steps")
+            raise FuelExhausted(f"normalization exceeded {fuel} steps")
 
 
 def is_cut_free(g: SharingGraph) -> bool:

@@ -218,6 +218,26 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
         assert "Traceback" not in proc.stderr, command
 
 
+@pytest.mark.parametrize("strategy", ["sg", "pn-mlbl"])
+def test_step_budget_run_out_is_an_error_line(strategy):
+    """running_example needs 2 steps on either route; a budget of 1 ends
+    in exit 2 with one error line, not a traceback and not a failing
+    verdict."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "lamping.cli", "run", RUNNING,
+                           "--strategy", strategy, "--max-steps", "1"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {RUNNING}: normalization exceeded 1 steps\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_step_budget_below_one_is_rejected(budget, capsys):
+    code, out, err = _run(["run", RUNNING, "--max-steps", budget], capsys)
+    assert (code, out) == (2, "")
+    assert "--max-steps: must be at least 1" in err
+
+
 def test_dot_export(tmp_path, capsys):
     code, _, _ = _run(["run", RUNNING, "--dot", str(tmp_path / "dots")], capsys)
     assert code == 0

@@ -114,7 +114,7 @@ def test_stratification_depths_preserved(corpus_graphs):
 
 
 def _mlbl_one_step(net):
-    from lamping.proofnets import _box_with_principal, _cut_kind
+    from lamping.proofnets import _cut_kind
     cuts = find_cuts(net)
     level = edge_depth(net, cuts[0])
     for c in cuts:
@@ -122,8 +122,7 @@ def _mlbl_one_step(net):
             break
         kind, _, nb = _cut_kind(net, c)
         if kind == "contract":
-            _, box = _box_with_principal(net, nb)
-            if not is_special_box(net, box):
+            if not is_special_box(net, net.boxes[nb]):
                 continue
         return reduce_step_pn(net, c)
     raise AssertionError("no eligible cut")

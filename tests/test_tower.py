@@ -1,0 +1,103 @@
+"""Church towers: k nested composed Church twos applied to free S and Z.
+
+Tower k generalises the corpus entry two_compose_two_applied (k = 2) and
+nests boxes k deep, where the corpus stops at 2. Its normal form is
+S^(2^k) Z. The sharing-graph route takes 4k-1 steps with k-1 copies; the
+level-by-level proof-net route takes the pinned counts below.
+"""
+
+import pytest
+
+import lamping.proofnets
+from lamping.corpus import CORPUS, _church, build
+from lamping.derivations import ax, bang, cut, dapp, forall_l, forall_r, lam, llolli
+from lamping.formulas import Atom, Bang, Forall, Lolli
+from lamping.pipeline import run_pipeline
+from lamping.proofnets import build_proofnet, net_depth, normalize_mlbl
+from lamping.terms import App, Var
+
+A = Atom("a")
+PN_STEPS = {1: 4, 2: 14, 3: 35, 4: 78, 5: 165, 6: 340}
+
+
+def _bangs(f, n):
+    for _ in range(n):
+        f = Bang(f)
+    return f
+
+
+def tower(k):
+    t = Atom("t")
+    numeral = Forall("t", Lolli(Bang(Lolli(t, t)), Lolli(Bang(t), Bang(t))))
+    inst = A
+    d = ax("s", Bang(Lolli(A, A)))
+    for i in range(1, k + 1):
+        arrow = Lolli(Bang(inst), Bang(inst))
+        d = llolli(f"n{i}", f"h{i}", d if i == 1 else bang(d), ax(f"h{i}", arrow))
+        d = forall_l(f"n{i}", numeral, inst, d)
+        d = cut(f"n{i}", forall_r("t", _church(2, t)), d)
+        inst = Bang(inst)
+    d = dapp(lam("s", d), ax("S", _bangs(Lolli(A, A), k)), "apS")
+    return dapp(d, ax("Z", _bangs(A, k)), "apZ")
+
+
+def _is_s_power(t, n):
+    """S applied n times to Z, walked node by node without recursion."""
+    for _ in range(n):
+        if not (isinstance(t, App) and t.fun == Var("S")):
+            return False
+        t = t.arg
+    return t == Var("Z")
+
+
+@pytest.mark.parametrize("k", sorted(PN_STEPS))
+def test_tower_counts_and_readback(k):
+    d = tower(k)
+    sg = run_pipeline(d, "eal", "dlt", "sg")
+    assert (sg.steps, sg.copies) == (4 * k - 1, k - 1)
+    pn = run_pipeline(d, "eal", "dlt", "pn-mlbl")
+    assert pn.pn_steps == PN_STEPS[k]
+    for r in (sg, pn):
+        assert r.verdict
+        assert _is_s_power(r.readback, 2 ** k)
+
+
+def _check_box_tree(net):
+    for n, b in net.box_of.items():
+        assert n in net.nodes, n
+        assert b in net.boxes, (n, b)
+    for r, box in net.boxes.items():
+        assert net.box_of[r] == r
+        assert all(net.box_of[a] == r for a in box.aux_doors), r
+        seen = {r}
+        p = box.parent
+        while p is not None:
+            assert p in net.boxes and p not in seen, (r, p)
+            seen.add(p)
+            p = net.boxes[p].parent
+    net_depth(net)  # raises when an edge spans two depths
+
+
+def _nets():
+    for name in CORPUS:
+        mode, d = build(name)
+        yield build_proofnet(d, mode)
+    for k in range(1, 5):
+        yield build_proofnet(tower(k))
+
+
+def test_box_tree_holds_after_every_step(monkeypatch):
+    step = lamping.proofnets.reduce_step_pn
+    fired = []
+
+    def checked(net, cut):
+        report = step(net, cut)
+        _check_box_tree(net)
+        fired.append(report.kind)
+        return report
+
+    monkeypatch.setattr(lamping.proofnets, "reduce_step_pn", checked)
+    for net in _nets():
+        _check_box_tree(net)
+        normalize_mlbl(net)
+    assert {"merge", "contract"} <= set(fired)
