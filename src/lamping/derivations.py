@@ -266,6 +266,8 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
     if d.rule == "X":
         (p,) = subs
         a, b, z = (_field(d, path, k, str) for k in ("a", "b", "z"))
+        if a == b:
+            raise _fail(path, f"contraction needs two distinct variables, got {a!r} twice")
         aty, bty = p.lookup(a), p.lookup(b)
         if aty is None or bty is None:
             raise _fail(path, f"contraction variables {a!r},{b!r} not both in context")

@@ -334,6 +334,16 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
     box = net.boxes[r]
     members = sorted(net.box_contents(r))
     inside = set(members)
+    internal = []  # wires with both ends inside, each once
+    for old in members:
+        for port in net.ports(old):
+            end = ("n", old, port)
+            other = net.wires[end]  # every port of a net is wired
+            if other[0] == "n" and other[1] in inside:
+                if end < other:
+                    internal.append((end, other))
+            elif not (net.nodes[old] in DOOR_KINDS and port == "out"):
+                raise MalformedNet("edge crosses a box boundary away from a door")
 
     copies: list[dict[int, int]] = []
     for _i in range(2):
@@ -347,16 +357,8 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
                 b = net.boxes[old]
                 net.boxes[m[old]] = Box([m[a] for a in b.aux_doors],
                                         box.parent if old == r else m[b.parent])
-        # internal wires
-        for a, bnd in net.edges():
-            a_in = a[0] == "n" and a[1] in inside
-            b_in = bnd[0] == "n" and bnd[1] in inside
-            if a_in and b_in:
-                net.link(("n", m[a[1]], a[2]), ("n", m[bnd[1]], bnd[2]))
-            elif a_in or b_in:
-                inner = a if a_in else bnd
-                if not (net.nodes[inner[1]] in DOOR_KINDS and inner[2] == "out"):
-                    raise MalformedNet("edge crosses a box boundary away from a door")
+        for (_, u, pu), (_, v, pv) in internal:
+            net.link(("n", m[u], pu), ("n", m[v], pv))
 
     # X premises meet the copied principal doors
     p_target = net.unlink(("n", x, "p"))
@@ -377,9 +379,8 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
 
     net.unlink(("n", x, "pr"))
     removed = [x] + members
-    for end in [e for e in net.wires if e[0] == "n" and e[1] in inside]:
-        if end in net.wires:
-            net.unlink(end)
+    for end, _ in internal:
+        net.unlink(end)
     for old in members:
         net.boxes.pop(old, None)
         _remove_node(net, old)
@@ -433,6 +434,8 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
         cuts = find_cuts(net)
         if not cuts:
             return net, steps
+        if steps == fuel:
+            raise FuelExhausted(f"normalization exceeded {fuel} steps")
         level = edge_depth(net, cuts[0])
         chosen = None
         for cut in cuts:
@@ -453,8 +456,6 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
             labelling.mapping.clear()
             labelling.mapping.update(updated.mapping)
         steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"normalization exceeded {fuel} steps")
 
 
 def check_lal_boxes(net: ProofNet) -> None:

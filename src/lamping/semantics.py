@@ -155,6 +155,13 @@ def _comparable(c1: Ctx, c2: Ctx) -> bool:
 def _lazy_explore(structure, labelling, start: End, k: int, *,
                   pinned: int | None, bound: int | None, fuel: int,
                   detect_cycles: bool = False) -> list[_Terminal]:
+    """Walk from start, forking wherever the token pops an empty stack.
+
+    A fork appends "q" and "p" to the same slot of one `assumed`, which
+    only grows after that, and each branch ends in at most one terminal.
+    So two terminals' `assumed` disagree where their walks forked: they
+    form a duplicate-free antichain, neither extending the other.
+    """
     out: list[_Terminal] = []
     init = (start, empty_ctx(k), empty_ctx(k), None, 0)
     stack = [init]
@@ -252,19 +259,6 @@ class WeightReport:
     total: int | float  # math.inf when some exploration exhausts its fuel
 
 
-def _minimal_filter(ctxs: list[Ctx]) -> list[Ctx]:
-    def leq(a: Ctx, b: Ctx) -> bool:
-        return all(_prefix(x, y) for x, y in zip(a, b))
-
-    out = []
-    for c in ctxs:
-        if any(leq(d, c) and d != c for d in ctxs):
-            continue
-        if c not in out:
-            out.append(c)
-    return sorted(out)
-
-
 def minimal_contexts(structure, labelling, nid: int,
                      fuel: int = 10 ** 5) -> tuple[list[Ctx], list[Ctx], list[Ctx]]:
     """Minimal context sets (B, P, E) for the node's principal port.
@@ -273,7 +267,9 @@ def minimal_contexts(structure, labelling, nid: int,
     works the same stack, P walks that reach a free port, E walks that
     hit an eraser or weakening node. Starting contexts keep the node's
     own stack empty; the other stacks grow on demand, so the recorded
-    prefixes are exactly the minimal contexts.
+    prefixes are exactly the minimal contexts. They need no filtering:
+    the explorer's terminals are a duplicate-free antichain (see
+    `_lazy_explore`).
     """
     role = structure.machine_role(nid)
     k = labelling.k
@@ -298,7 +294,7 @@ def minimal_contexts(structure, labelling, nid: int,
             p.append(t.assumed)
         elif t.kind == "era":
             e.append(t.assumed)
-    return _minimal_filter(b), _minimal_filter(p), _minimal_filter(e)
+    return sorted(b), sorted(p), sorted(e)
 
 
 class FuelError(Exception):

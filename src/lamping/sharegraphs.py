@@ -163,6 +163,8 @@ def normalize_sg(g: SharingGraph, fuel: int = 10 ** 5) -> tuple[SharingGraph, SG
         cuts = [c for c in find_cuts_sg(g) if not _is_eraser_cut(g, c)]
         if not cuts:
             return g, stats
+        if stats.steps == fuel:
+            raise FuelExhausted(f"normalization exceeded {fuel} steps")
         kind = reduce_step_sg(g, cuts[0])
         stats.steps += 1
         if kind == "annihilation":
@@ -170,8 +172,6 @@ def normalize_sg(g: SharingGraph, fuel: int = 10 ** 5) -> tuple[SharingGraph, SG
         else:
             stats.copies += 1
         stats.peak_size = max(stats.peak_size, g.size())
-        if stats.steps > fuel:
-            raise FuelExhausted(f"normalization exceeded {fuel} steps")
 
 
 def is_cut_free(g: SharingGraph) -> bool:

@@ -123,7 +123,10 @@ def test_input_error_exit_code(tmp_path, capsys):
     missing.write_text(MISSING_FIELD)
     wrong = tmp_path / "wrong.eal"
     wrong.write_text(WRONG_FIELD_TYPE)
-    for path in (bad, ill, missing, wrong):
+    same = tmp_path / "same.eal"
+    # a contraction whose two premises are one variable
+    same.write_text("(X {a x} {b x} {z z} (W {var x} {ty !a} (A {var y} {ty a})))")
+    for path in (bad, ill, missing, wrong, same):
         for argv in (["check"], ["run"], ["trace", "--edge", "main", "--ctx", ""]):
             code, out, err = _run(argv[:1] + [str(path)] + argv[1:], capsys)
             assert (code, out) == (2, ""), (argv, path.name)
@@ -246,7 +249,8 @@ def test_dot_export(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "lamping.cli", "run", RUNNING],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verdict pass" in proc.stdout

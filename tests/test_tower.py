@@ -6,15 +6,19 @@ S^(2^k) Z. The sharing-graph route takes 4k-1 steps with k-1 copies; the
 level-by-level proof-net route takes the pinned counts below.
 """
 
+import copy
+
 import pytest
 
 import lamping.proofnets
+import lamping.sharegraphs
 from lamping.corpus import CORPUS, _church, build
 from lamping.derivations import ax, bang, cut, dapp, forall_l, forall_r, lam, llolli
 from lamping.formulas import Atom, Bang, Forall, Lolli
-from lamping.pipeline import run_pipeline
-from lamping.proofnets import build_proofnet, net_depth, normalize_mlbl
-from lamping.terms import App, Var
+from lamping.pipeline import prepared_graph, run_pipeline
+from lamping.proofnets import ProofNet, build_proofnet, net_depth, normalize_mlbl
+from lamping.sharegraphs import normalize_sg
+from lamping.terms import App, FuelExhausted, Var
 
 A = Atom("a")
 PN_STEPS = {1: 4, 2: 14, 3: 35, 4: 78, 5: 165, 6: 340}
@@ -101,3 +105,41 @@ def test_box_tree_holds_after_every_step(monkeypatch):
         _check_box_tree(net)
         normalize_mlbl(net)
     assert {"merge", "contract"} <= set(fired)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name; returns the list its results are appended to."""
+    fn = getattr(owner, name)
+    results = []
+
+    def counted(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, counted)
+    return results
+
+
+def test_contraction_copies_without_listing_every_wire(monkeypatch):
+    net = build_proofnet(tower(4))
+    edges = _count_calls(monkeypatch, ProofNet, "edges")
+    reports = _count_calls(monkeypatch, lamping.proofnets, "reduce_step_pn")
+    assert normalize_mlbl(net)[1] == PN_STEPS[4]
+    assert "contract" in {r.kind for r in reports}
+    assert edges == []
+
+
+def test_budget_one_short_stops_at_the_budget(monkeypatch):
+    k = 3
+    net, _, g = prepared_graph(tower(k))
+    sg = _count_calls(monkeypatch, lamping.sharegraphs, "reduce_step_sg")
+    pn = _count_calls(monkeypatch, lamping.proofnets, "reduce_step_pn")
+    with pytest.raises(FuelExhausted, match=f"exceeded {4 * k - 2} steps"):
+        normalize_sg(copy.deepcopy(g), 4 * k - 2)
+    assert len(sg) == 4 * k - 2
+    with pytest.raises(FuelExhausted, match=f"exceeded {PN_STEPS[k] - 1} steps"):
+        normalize_mlbl(copy.deepcopy(net), PN_STEPS[k] - 1)
+    assert len(pn) == PN_STEPS[k] - 1
+    # a budget of exactly the steps needed is enough
+    assert normalize_sg(g, 4 * k - 1)[1].steps == 4 * k - 1
+    assert normalize_mlbl(net, PN_STEPS[k])[1] == PN_STEPS[k]
