@@ -5,7 +5,8 @@
                  [--max-steps N] [--probe-depth D] [--dot DIR]
     lamping trace FILE --edge E --ctx "S1|...|Sk|T" [...]
 
-Exit codes: 0 pass, 1 verdict fail, 2 input error or step budget run out.
+Exit codes: 0 pass, 1 verdict fail, 2 input error, step budget or token
+walk run out.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, DerivationSyntaxError, RuleViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FuelExhausted as e:
+    except (FuelExhausted, UnicodeDecodeError) as e:
         print(f"error: {args.file}: {e}", file=sys.stderr)
         return 2
     except RecursionError:

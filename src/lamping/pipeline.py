@@ -35,7 +35,7 @@ class RunStats:
     copies: int
     peak_size: int
     final_size: int
-    weight_total: int | float
+    weight_total: int | None  # None on pn-mlbl, like the bounds it feeds
     steps_bound_ok: bool | None  # None on pn-mlbl: the bounds are on graph steps
     size_bound_ok: bool | None
     readback: Term
@@ -81,10 +81,10 @@ def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
         assert not find_cuts(net)
         graph = translate(net, lab)
     g0_size = graph.size()
-    w = weight(graph, lab).total
     if strategy == "pn-mlbl":
-        stats, steps_ok, size_ok = SGStats(peak_size=g0_size), None, None
+        stats, w, steps_ok, size_ok = SGStats(peak_size=g0_size), None, None, None
     else:
+        w = weight(graph, lab).total
         graph, stats = normalize_sg(graph, max_steps)
         steps_ok = stats.steps <= w + g0_size / 2
         size_ok = graph.size() <= w + g0_size
@@ -102,8 +102,8 @@ def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
     )
 
 
-def _flag(ok: bool | None) -> str:
-    return "n/a" if ok is None else str(ok).lower()
+def _shown(value: bool | int | None) -> str:
+    return "n/a" if value is None else str(value).lower()
 
 
 def format_report(r: RunStats) -> str:
@@ -121,9 +121,9 @@ def format_report(r: RunStats) -> str:
         f"steps.annihilations {r.annihilations}",
         f"steps.copies {r.copies}",
         f"steps.peak_size {r.peak_size}",
-        f"weight {r.weight_total}",
-        f"bound.steps_ok {_flag(r.steps_bound_ok)}",
-        f"bound.size_ok {_flag(r.size_bound_ok)}",
+        f"weight {_shown(r.weight_total)}",
+        f"bound.steps_ok {_shown(r.steps_bound_ok)}",
+        f"bound.size_ok {_shown(r.size_bound_ok)}",
     ]
     if r.table_preserved is not None:
         lines.append(f"semantics.probe_depth {r.probe_depth}")

@@ -393,18 +393,15 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
 # ---------------------------------------------------------------------------
 # special boxes, strategies
 
-def is_special_box(net: ProofNet, box: Box, fuel: int = 10 ** 4) -> bool:
+def is_special_box(net: ProofNet, box: Box) -> bool:
     """A box is special when every direct path leaving one of its premises
     is simple: after the first hop the path only ever exits through
-    principal ports, which fails exactly when it runs into a cut."""
+    principal ports, which fails exactly when it runs into a cut. Each
+    hop leaves a node by its principal port, so a path that crosses more
+    nodes than the net has repeats one and loops."""
     for door in box.aux_doors:
-        end = ("n", door, "out")
-        cur = net.wires[end]
-        steps = 0
-        while True:
-            steps += 1
-            if steps > fuel:
-                raise MalformedNet("special-box walk did not terminate")
+        cur = net.wires[("n", door, "out")]
+        for _ in range(len(net.nodes) + 1):
             if cur[0] != "n":
                 break  # reached a conclusion
             nid = cur[1]
@@ -419,6 +416,8 @@ def is_special_box(net: ProofNet, box: Box, fuel: int = 10 ** 4) -> bool:
             if pp is None:
                 break  # weakening node, path ends
             cur = net.wires[("n", nid, pp)]
+        else:
+            raise MalformedNet("special-box walk loops")
     return True
 
 

@@ -1,19 +1,20 @@
 """Readback of beta-normal forms from normalized structures.
 
 The procedure never inspects the graph: it only queries the token
-machine. Each query anchors a head subterm as (port, context); probing
-the anchor with extra q's on the multiplicative stack finds how many
-abstractions guard the subterm, and the landing stack encodes the head
-variable (free port, or position of its binder) together with one new
-anchor per argument.
+machine. Each query anchors a head subterm as (port, context) and walks
+once from it, taking q at each pop of an empty multiplicative stack;
+the number of such pops is how many abstractions guard the subterm, and
+the landing stack encodes the head variable (free port, or position of
+its binder) together with one new anchor per argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Ctx, Reached, Stuck, FuelExhaustedRun, run_token
-from .terms import Abs, App, Term, Var
+from . import semantics
+from .semantics import Ctx, Reached, Stuck, empty_ctx, run_token
+from .terms import Abs, App, FuelExhausted, Term, Var
 
 __all__ = ["PsiAnswer", "ReadbackError", "psi_query", "readback_term"]
 
@@ -41,30 +42,28 @@ def _with_mult(ctx: Ctx, mult: tuple) -> Ctx:
     return ctx[:-1] + (mult,)
 
 
-def psi_query(structure, labelling, anchor: Anchor,
-              fuel: int = 10 ** 5, n_cap: int = 64) -> PsiAnswer:
+def psi_query(structure, labelling, anchor: Anchor) -> PsiAnswer:
     """Expand one head subterm by probing its anchor.
 
-    The probe appends q^n for the least n that makes the run land on a
-    conclusion; a stuck multiplicative pop means the head sits under one
-    more abstraction, so the search continues, while any other stuck run
-    has no readback.
+    At each pop of an empty multiplicative stack the walk resumes there
+    with the stack (q,), one more abstraction over the head. A run with
+    q^n appended below the anchor's stack pops those q's at the same
+    places, so this lands as that run does for the least n that lands.
+    Any other stuck run has no readback.
     """
-    port, ctx = anchor
-    k = len(ctx) - 1
-    for n in range(n_cap + 1):
-        probe = _with_mult(ctx, _mult(ctx) + ("q",) * n)
-        res = run_token(structure, labelling, port, probe, fuel)
-        if isinstance(res, Stuck):
-            if res.reason == "empty-mult":
-                continue
+    budget = semantics.WALK_BUDGET
+    start, ctx = anchor
+    for n in range(budget + 1):
+        res = run_token(structure, labelling, start, ctx, budget)
+        if isinstance(res, Reached):
+            return _classify(res, n)
+        if not isinstance(res, Stuck):
+            break
+        if res.reason != "empty-mult":
             raise ReadbackError(f"probe stuck ({res.reason}) at {res.at}; "
                                 f"structure has no readback from {anchor}")
-        if isinstance(res, FuelExhaustedRun):
-            raise ReadbackError(f"probe from {anchor} ran out of fuel")
-        assert isinstance(res, Reached)
-        return _classify(res, n)
-    raise ReadbackError(f"no defined probe within {n_cap} abstractions from {anchor}")
+        start, ctx = res.at, _with_mult(res.ctx, ("q",))
+    raise FuelExhausted(f"readback walk from {anchor} exceeded {budget} token steps")
 
 
 def _classify(res: Reached, n: int) -> PsiAnswer:
@@ -132,15 +131,12 @@ def _resolve_binder(memo: list, anchor: Anchor) -> tuple:
     return top[0]
 
 
-def readback_term(structure, labelling, fuel: int = 10 ** 5,
-                  n_cap: int = 64) -> Term:
+def readback_term(structure, labelling) -> Term:
     """Reconstruct the beta-normal form of a normalized structure.
 
     Free ports keep their names; bound variables are x0, x1, ... in
     traversal order (skipping clashes with free-port names).
     """
-    from .semantics import empty_ctx
-
     taken = set(structure.conclusions)
     counter = [0]
 
@@ -154,7 +150,7 @@ def readback_term(structure, labelling, fuel: int = 10 ** 5,
     memo: list = []  # [(anchor, [binder names])] in query order
 
     def expand(anchor: Anchor) -> Term:
-        ans = psi_query(structure, labelling, anchor, fuel, n_cap)
+        ans = psi_query(structure, labelling, anchor)
         binders = [fresh() for _ in range(ans.n)]
         memo.append((anchor, binders))
         if ans.head[0] == "free":

@@ -10,21 +10,26 @@ and eraser nodes have no rule.
 The same walker, run lazily (branching on pops of an empty stack and
 recording the forced prefix), yields the bounded semantics table, the
 per-node minimal context sets behind the weight function, and the cycle
-probe.
+probe. Readback's probe runs it eagerly, taking q at each pop of an
+empty multiplicative stack. The table, the weight and readback raise
+`terms.FuelExhausted` on a walk longer than `WALK_BUDGET` steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .terms import FuelExhausted
 
 __all__ = [
     "Ctx", "TokenState", "Reached", "Stuck", "FuelExhaustedRun",
     "empty_ctx", "parse_ctx", "show_ctx",
     "step_token", "run_token",
     "semantics_table", "minimal_contexts", "weight", "WeightReport",
-    "check_acyclicity",
+    "check_acyclicity", "WALK_BUDGET",
 ]
+
+WALK_BUDGET = 10 ** 5  # token steps per walk
 
 Ctx = tuple  # k exponential stacks then the multiplicative one; stack[0] is the top
 End = tuple
@@ -46,6 +51,7 @@ class Reached:
 class Stuck:
     at: End
     reason: str  # "empty-mult" | "empty-exp" | "weakening"
+    ctx: Ctx
     slot: int | None = None
 
 
@@ -88,7 +94,7 @@ def step_token(structure, labelling, state: TokenState) -> TokenState | Reached 
     nid, port = target[1], target[2]
     role = structure.machine_role(nid)
     if role[0] == "none":
-        return Stuck(target, "weakening")
+        return Stuck(target, "weakening", ctx)
     if role[0] == "id":
         out = role[2] if port == role[1] else role[1]
         return TokenState(structure.wires[("n", nid, out)], ctx)
@@ -99,7 +105,7 @@ def step_token(structure, labelling, state: TokenState) -> TokenState | Reached 
         stack = ctx[slot]
         if not stack:
             reason = "empty-mult" if slot == k else "empty-exp"
-            return Stuck(target, reason, slot)
+            return Stuck(target, reason, ctx, slot)
         sym, rest = stack[0], stack[1:]
         out = p_port if sym == "p" else q_port
         new_ctx = ctx[:slot] + (rest,) + ctx[slot + 1:]
@@ -110,7 +116,7 @@ def step_token(structure, labelling, state: TokenState) -> TokenState | Reached 
 
 
 def run_token(structure, labelling, start, ctx: Ctx,
-              fuel: int = 10 ** 5, trace: bool = False):
+              fuel: int = WALK_BUDGET, trace: bool = False):
     """Run from a conclusion label (inward) or an explicit end until the
     token reaches a conclusion, gets stuck, or exhausts fuel.
 
@@ -122,13 +128,14 @@ def run_token(structure, labelling, start, ctx: Ctx,
     else:
         target = start
     state = TokenState(target, ctx)
-    transcript = [state]
+    transcript = [state] if trace else None
     for _ in range(fuel):
         nxt = step_token(structure, labelling, state)
         if isinstance(nxt, (Reached, Stuck)):
             return (nxt, transcript) if trace else nxt
         state = nxt
-        transcript.append(state)
+        if trace:
+            transcript.append(state)
     out = FuelExhaustedRun(fuel)
     return (out, transcript) if trace else out
 
@@ -227,8 +234,7 @@ def _lazy_explore(structure, labelling, start: End, k: int, *,
 # ---------------------------------------------------------------------------
 # bounded semantics table
 
-def semantics_table(structure, labelling, depth_bound: int = 4,
-                    fuel: int = 10 ** 5) -> frozenset:
+def semantics_table(structure, labelling, depth_bound: int = 4) -> frozenset:
     """Minimal generators of the context semantics, probe-bounded.
 
     Each entry ((c, C), (c', D)) is a conclusion-to-conclusion run whose
@@ -242,9 +248,10 @@ def semantics_table(structure, labelling, depth_bound: int = 4,
     for label in structure.conclusions:
         start = structure.wires[("c", label)]
         for t in _lazy_explore(structure, labelling, start, k,
-                               pinned=None, bound=depth_bound, fuel=fuel):
+                               pinned=None, bound=depth_bound, fuel=WALK_BUDGET):
             if t.kind == "fuel":
-                raise RuntimeError("semantics probe ran out of fuel")
+                raise FuelExhausted(f"semantics probe from {label} exceeded "
+                                    f"{WALK_BUDGET} token steps")
             if t.kind == "land":
                 entries.add(((label, t.assumed), (t.at, t.landing)))
     return frozenset(entries)
@@ -256,11 +263,10 @@ def semantics_table(structure, labelling, depth_bound: int = 4,
 @dataclass
 class WeightReport:
     per_node: dict[int, tuple[int, int, int]]
-    total: int | float  # math.inf when some exploration exhausts its fuel
+    total: int
 
 
-def minimal_contexts(structure, labelling, nid: int,
-                     fuel: int = 10 ** 5) -> tuple[list[Ctx], list[Ctx], list[Ctx]]:
+def minimal_contexts(structure, labelling, nid: int) -> tuple[list[Ctx], list[Ctx], list[Ctx]]:
     """Minimal context sets (B, P, E) for the node's principal port.
 
     B collects walks that die entering the principal port of a node that
@@ -285,9 +291,10 @@ def minimal_contexts(structure, labelling, nid: int,
     p: list[Ctx] = []
     e: list[Ctx] = []
     for t in _lazy_explore(structure, labelling, start, k,
-                           pinned=pinned, bound=None, fuel=fuel):
+                           pinned=pinned, bound=None, fuel=WALK_BUDGET):
         if t.kind == "fuel":
-            raise FuelError(nid)
+            raise FuelExhausted(f"weight walk from node {nid} exceeded "
+                                f"{WALK_BUDGET} token steps")
         if t.kind == "pinned":
             b.append(t.assumed)
         elif t.kind == "land":
@@ -297,26 +304,16 @@ def minimal_contexts(structure, labelling, nid: int,
     return sorted(b), sorted(p), sorted(e)
 
 
-class FuelError(Exception):
-    pass
-
-
-def weight(structure, labelling, fuel: int = 10 ** 5) -> WeightReport:
-    """W = sum over nodes of |B|+|P|+|E|-1; inf if exploration diverges."""
+def weight(structure, labelling) -> WeightReport:
+    """W = sum over nodes of |B|+|P|+|E|-1."""
     per_node: dict[int, tuple[int, int, int]] = {}
-    total: int | float = 0
+    total = 0
     for nid in sorted(structure.nodes):
         if structure.machine_role(nid)[0] == "id":
             continue
-        try:
-            b, p, e = minimal_contexts(structure, labelling, nid, fuel)
-        except FuelError:
-            per_node[nid] = (-1, -1, -1)
-            total = math.inf
-            continue
+        b, p, e = minimal_contexts(structure, labelling, nid)
         per_node[nid] = (len(b), len(p), len(e))
-        if total is not math.inf:
-            total += len(b) + len(p) + len(e) - 1
+        total += len(b) + len(p) + len(e) - 1
     return WeightReport(per_node, total)
 
 

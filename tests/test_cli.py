@@ -1,5 +1,6 @@
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,11 @@ from pathlib import Path
 import pytest
 
 import lamping.derivations
+import lamping.semantics
 from lamping.cli import main
+from lamping.corpus import A
+from lamping.derivations import ax, lam, weak
+from lamping.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNING = str(ROOT / "corpus" / "running_example.eal")
@@ -126,7 +131,9 @@ def test_input_error_exit_code(tmp_path, capsys):
     same = tmp_path / "same.eal"
     # a contraction whose two premises are one variable
     same.write_text("(X {a x} {b x} {z z} (W {var x} {ty !a} (A {var y} {ty a})))")
-    for path in (bad, ill, missing, wrong, same):
+    undecodable = tmp_path / "undecodable.eal"
+    undecodable.write_bytes(b"\xff\xfe(A {var x} {ty a})")
+    for path in (bad, ill, missing, wrong, same, undecodable):
         for argv in (["check"], ["run"], ["trace", "--edge", "main", "--ctx", ""]):
             code, out, err = _run(argv[:1] + [str(path)] + argv[1:], capsys)
             assert (code, out) == (2, ""), (argv, path.name)
@@ -163,6 +170,7 @@ def test_pn_mlbl_reports_graph_bounds_as_not_applicable(capsys):
     assert "proofnet.steps 14" in lines
     assert "bound.steps_ok n/a" in lines
     assert "bound.size_ok n/a" in lines
+    assert "weight n/a" in lines
     assert "verdict pass" in lines
     code, out, _ = _run(["run", path], capsys)
     assert code == 0
@@ -232,6 +240,56 @@ def test_step_budget_run_out_is_an_error_line(strategy):
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {RUNNING}: normalization exceeded 1 steps\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--probe-depth", "4"],  # the semantics probe runs out first
+    ["--probe-depth", "0"],  # the weight
+    ["--probe-depth", "0", "--strategy", "pn-mlbl"],  # readback
+], ids=["probe", "weight", "readback"])
+def test_walk_budget_run_out_is_an_error_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(lamping.semantics, "WALK_BUDGET", 3)
+    code, out, err = _run(["run", RUNNING] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {RUNNING}: ")
+    assert "exceeded 3 token steps" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [65, 200])
+def test_readback_has_no_abstraction_cap(tmp_path, capsys, n):
+    """\\x1...\\xn.x1: x2..xn are weakened, then all are abstracted."""
+    d = ax("x1", A)
+    for i in range(2, n + 1):
+        d = weak(f"x{i}", A, d)
+    for i in range(n, 0, -1):
+        d = lam(f"x{i}", d)
+    assert run_pipeline(d).verdict
+    # the same derivation as flat text: show_derivation recurses once per
+    # nested rule and reaches the recursion limit at n = 200
+    text = ("".join(f"(RLolli {{var x{i}}} " for i in range(1, n + 1))
+            + "".join(f"(W {{var x{i}}} {{ty a}} " for i in range(n, 1, -1))
+            + "(A {var x1} {ty a})" + ")" * (2 * n - 1))
+    path = tmp_path / f"abs{n}.eal"
+    path.write_text(text)
+    code, out, _ = _run(["run", str(path)], capsys)
+    assert code == 0
+    assert "verdict pass" in out.splitlines()
+
+
+def test_readme_command_lines_run(monkeypatch, tmp_path, capsys):
+    """Every `lamping ...` line of README's command-line block exits 0."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("lamping ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        if "--dot" in argv:
+            argv[argv.index("--dot") + 1] = str(tmp_path / "dot")
+        code, _, err = _run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -2,12 +2,20 @@ import copy
 
 import pytest
 
+import lamping.readback
+from lamping.corpus import A, CORPUS, _church, build
+from lamping.derivations import ax, dapp
+from lamping.formulas import Bang, Lolli
 from lamping.pipeline import prepared_graph
 from lamping.proofnets import normalize_mlbl
-from lamping.readback import ReadbackError, psi_query, readback_term
-from lamping.semantics import empty_ctx
+from lamping.readback import ReadbackError, _classify, psi_query, readback_term
+from lamping.semantics import Reached, Stuck, empty_ctx, run_token
 from lamping.sharegraphs import normalize_sg
 from lamping.terms import alpha_eq, beta_normalize, head_decompose, parse_term, show_term
+from lamping.translate import translate
+from test_randomized import Gen, LalGen
+from test_tower import tower
+from test_weight_golden import church_identity
 
 
 def _normalized(corpus_graphs, name):
@@ -129,7 +137,7 @@ def test_readback_error_on_exponential_underflow(corpus_graphs):
     lab, g = _normalized(corpus_graphs, "running_example")
     with pytest.raises(ReadbackError):
         # routing into the shared argument without a fan address
-        psi_query(g, lab, ("g", ((), ("p",))), n_cap=4)
+        psi_query(g, lab, ("g", ((), ("p",))))
 
 
 def test_probe_aborts_at_weakening(corpus_graphs):
@@ -137,4 +145,70 @@ def test_probe_aborts_at_weakening(corpus_graphs):
     walks into an eraser has no readback at any depth."""
     lab, g = _normalized(corpus_graphs, "weakened_app")
     with pytest.raises(ReadbackError, match="weakening"):
-        psi_query(g, lab, ("g", ((), ("q",))), n_cap=8)
+        psi_query(g, lab, ("g", ((), ("q",))))
+
+
+def reference_psi_query(structure, labelling, anchor, n_cap=64):
+    """The probe psi_query once was: run from the anchor again with q^n
+    appended below its multiplicative stack, n = 0, 1, ..., until a run
+    lands."""
+    port, ctx = anchor
+    for n in range(n_cap + 1):
+        probe = ctx[:-1] + (ctx[-1] + ("q",) * n,)
+        res = run_token(structure, labelling, port, probe)
+        if isinstance(res, Stuck) and res.reason == "empty-mult":
+            continue
+        if not isinstance(res, Reached):
+            raise ReadbackError(f"probe from {anchor} ends in {res}")
+        return _classify(res, n)
+    raise ReadbackError(f"no defined probe within {n_cap} abstractions from {anchor}")
+
+
+def church_sz(n):
+    d = dapp(_church(n), ax("S", Bang(Lolli(A, A))), "apS")
+    return dapp(d, ax("Z", Bang(A)), "apZ")
+
+
+def _probe_inputs():
+    """(name, mode, derivation, strategies) for the reference comparison."""
+    both = ("sg", "pn-mlbl")
+    for name in sorted(CORPUS):
+        yield (name, *build(name), both)
+    for seed in range(40):
+        yield f"gen{seed}", "eal", Gen(seed).grow(), both
+        yield f"lalgen{seed}", "lal", LalGen(seed).grow(), both
+    for n in (16, 32, 48):
+        yield f"church_identity{n}", "eal", church_identity(n), both
+        yield f"church_sz{n}", "eal", church_sz(n), both
+    for k in range(1, 10):
+        yield f"tower{k}", "eal", tower(k), both if k <= 6 else ("sg",)
+
+
+def _normal_structure(mode, d, translation, strategy):
+    net, lab, g = prepared_graph(d, mode, translation)
+    if strategy == "sg":
+        return normalize_sg(g)[0], lab
+    net, _ = normalize_mlbl(net, labelling=lab)
+    return translate(net, lab), lab
+
+
+def test_one_walk_probe_matches_the_rerun_reference(monkeypatch):
+    """Every query of every readback answers as the q^n re-run did,
+    landing included."""
+    answers = []
+
+    def compared(structure, labelling, anchor):
+        got = psi_query(structure, labelling, anchor)
+        assert got == reference_psi_query(structure, labelling, anchor), anchor
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(lamping.readback, "psi_query", compared)
+    runs = 0
+    for name, mode, d, strategies in _probe_inputs():
+        for translation in ("lt", "dlt"):
+            for strategy in strategies:
+                readback_term(*_normal_structure(mode, d, translation, strategy))
+                runs += 1
+    assert runs == 466
+    assert max(a.n for a in answers) >= 2

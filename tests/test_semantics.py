@@ -3,13 +3,16 @@ import itertools
 
 import pytest
 
+import lamping.semantics
 from lamping.pipeline import prepared_graph
 from lamping.proofnets import find_cuts, reduce_step_pn
+from lamping.readback import readback_term
 from lamping.semantics import (
     Reached, Stuck, TokenState, check_acyclicity, minimal_contexts,
     parse_ctx, run_token, semantics_table, step_token, weight,
 )
 from lamping.sharegraphs import SharingGraph, find_cuts_sg, normalize_sg, reduce_step_sg
+from lamping.terms import FuelExhausted
 from lamping.translate import Labelling, induced_labelling
 
 # The five conclusion-to-conclusion runs listed for the running example's
@@ -308,3 +311,14 @@ def test_minimal_contexts_match_brute_force(corpus_graphs, name):
         got = tuple(tuple(sorted(s)) for s in minimal_contexts(g, lab, nid))
         want = tuple(tuple(sorted(s)) for s in brute_minimal_contexts(g, lab, nid))
         assert got == want, (name, nid)
+
+
+def test_walk_budget_run_out_raises(corpus_graphs, monkeypatch):
+    """Every walk layer runs out the same way; the weight is never inf."""
+    _, _, lab, g = corpus_graphs["running_example"]
+    normal = normalize_sg(copy.deepcopy(g))[0]
+    monkeypatch.setattr(lamping.semantics, "WALK_BUDGET", 3)
+    for run in (lambda: weight(g, lab), lambda: semantics_table(g, lab),
+                lambda: readback_term(normal, lab)):
+        with pytest.raises(FuelExhausted, match="exceeded 3 token steps"):
+            run()
