@@ -82,7 +82,7 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lamping", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -113,10 +113,18 @@ def main(argv: list[str] | None = None) -> int:
                          help='stacks "S1|...|Sk|T", e.g. "|pq" for k=1')
     p_trace.add_argument("--on", choices=["graph", "net"], default="graph")
     p_trace.set_defaults(fn=cmd_trace)
+    return ap
 
-    args = ap.parse_args(argv)
+
+# built once: `main` runs many times in one process under tests and the
+# benchmark, and building the parser costs as much as a small run
+PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = PARSER.parse_args(argv)
     if getattr(args, "max_steps", 1) < 1:
-        ap.error(f"argument --max-steps: must be at least 1, got {args.max_steps}")
+        PARSER.error(f"argument --max-steps: must be at least 1, got {args.max_steps}")
     try:
         return args.fn(args)
     except (OSError, DerivationSyntaxError, RuleViolation) as e:

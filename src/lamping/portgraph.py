@@ -5,10 +5,12 @@ wiring maps each occupied port-end to its partner; ends are either node
 ports `("n", id, port)` or named conclusions `("c", label)`. Every kind
 lists its ports with the principal one first; kinds in `NO_PRINCIPAL`
 have none. Rewriting only ever fires on a wire joining two principal
-ports. `ROLES` says how the token machine crosses each kind: `mult` and
-`exp` nodes push or pop one symbol on the multiplicative or on an
-exponential stack, `id` nodes pass the token through unchanged, and
-`none` nodes stop it.
+ports; those wires are the graph's cuts. `link` and `unlink` are the only
+writers of the wiring, and they keep the set of cuts up to date as they
+go, so finding the cuts never scans the wires. `ROLES` says how the
+token machine crosses each kind: `mult` and `exp` nodes push or pop one
+symbol on the multiplicative or on an exponential stack, `id` nodes pass
+the token through unchanged, and `none` nodes stop it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class PortGraph:
     def __init__(self) -> None:
         self.nodes: dict[int, str] = {}
         self.wires: dict[End, End] = {}
+        # the wires joining two principal ports, as (lower end, higher end)
+        self.cuts: set[tuple[End, End]] = set()
         self._next = itertools.count()
 
     def add_node(self, kind: str) -> int:
@@ -53,13 +57,20 @@ class PortGraph:
         return nid
 
     def link(self, a: End, b: End) -> None:
+        """Wire a to b, recording the wire in `cuts` when both ends are
+        principal. With `unlink`, the only writer of `wires`."""
         assert a not in self.wires and b not in self.wires, "port already wired"
         self.wires[a] = b
         self.wires[b] = a
+        if self.is_principal_end(a) and self.is_principal_end(b):
+            self.cuts.add((a, b) if a <= b else (b, a))
 
     def unlink(self, a: End) -> End:
+        """Remove the wire at a, and from `cuts` if it is one; returns
+        the other end."""
         b = self.wires.pop(a)
         del self.wires[b]
+        self.cuts.discard((a, b) if a <= b else (b, a))
         return b
 
     def ports(self, nid: int) -> tuple[str, ...]:
@@ -85,15 +96,14 @@ class PortGraph:
 
 def is_cut(g: PortGraph, edge: tuple[End, End]) -> bool:
     """Whether `edge`, as (lower end, higher end), wires two principal ports."""
-    a, b = edge
-    return a <= b and g.wires.get(a) == b and g.is_principal_end(a) and g.is_principal_end(b)
+    return edge in g.cuts
 
 
-def principal_pairs(g: PortGraph) -> list[tuple[End, End]]:
+def principal_pairs(g: PortGraph) -> set[tuple[End, End]]:
     """The wires joining two principal ports, as (lower end, higher end),
-    in no particular order."""
-    return [(a, b) for a, b in g.wires.items()
-            if a <= b and g.is_principal_end(a) and g.is_principal_end(b)]
+    in no particular order: the live set `link` and `unlink` keep, which
+    callers must not change."""
+    return g.cuts
 
 
 def to_dot(g: PortGraph, name: str, shape: str, label: Callable[[int], str],

@@ -66,6 +66,8 @@ class ProofNet(PortGraph):
         # node inside a box -> principal door of its innermost box; doors
         # map to their own box, nodes at depth 0 are absent
         self.box_of: dict[int, int] = {}
+        # live cut -> its depth, from edge_depth when find_cuts first met it
+        self.cut_depth: dict[tuple[End, End], int] = {}
         self.conclusions: list[str] = []
 
     def attach(self, new_end: End, old_end: End) -> None:
@@ -253,8 +255,16 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
 # cuts and reduction
 
 def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
-    """Edges principal for both endpoints, ordered by depth then node ids."""
-    return sorted(principal_pairs(net), key=lambda e: (edge_depth(net, e), e))
+    """Edges principal for both endpoints, ordered by depth then node ids.
+
+    A cut's depth goes through `edge_depth`, and its check, the first time
+    a scan meets the cut; later scans reuse it from `net.cut_depth`, since
+    no step changes the depth of a wire it leaves in place.
+    """
+    known = net.cut_depth
+    depth = net.cut_depth = {c: known[c] if c in known else edge_depth(net, c)
+                             for c in principal_pairs(net)}
+    return [c for _, c in sorted((d, c) for c, d in depth.items())]
 
 
 def _cut_kind(net: ProofNet, cut: tuple[End, End]) -> tuple[str, int, int]:
@@ -435,10 +445,10 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
             return net, steps
         if steps == fuel:
             raise FuelExhausted(f"normalization exceeded {fuel} steps")
-        level = edge_depth(net, cuts[0])
+        level = net.cut_depth[cuts[0]]
         chosen = None
         for cut in cuts:
-            if edge_depth(net, cut) != level:
+            if net.cut_depth[cut] != level:
                 break
             kind, _na, nb = _cut_kind(net, cut)
             if kind == "contract":

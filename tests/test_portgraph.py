@@ -1,0 +1,136 @@
+"""The cut set a port graph keeps in `link`/`unlink`, against a full scan.
+
+`reference_pairs` is the scan of every wire that `principal_pairs` ran
+before the set was kept. After every step of both engines the kept set
+must equal that scan, a deep copy must carry an equal set, and the cut
+the engine fires must be the one the scan picks under the engine's sort
+key, with every proof-net depth computed afresh.
+"""
+
+import copy
+
+import lamping.proofnets
+import lamping.sharegraphs
+from lamping.corpus import CORPUS, build
+from lamping.pipeline import prepared_graph
+from lamping.portgraph import principal_pairs
+from lamping.proofnets import (_cut_kind, build_proofnet, edge_depth, is_special_box,
+                               normalize_mlbl)
+from lamping.sharegraphs import normalize_sg
+from test_randomized import Gen, LalGen
+from test_tower import PN_STEPS, tower
+from test_weight_golden import church_identity
+
+
+def reference_pairs(g):
+    """The wires joining two principal ports, found by scanning them all."""
+    return [(a, b) for a, b in g.wires.items()
+            if a <= b and g.is_principal_end(a) and g.is_principal_end(b)]
+
+
+def _inputs():
+    for name in sorted(CORPUS):
+        yield (name, *build(name))
+    for k in range(1, 7):
+        yield f"tower{k}", "eal", tower(k)
+    yield "church_identity16", "eal", church_identity(16)
+    for seed in range(20):
+        yield f"gen{seed}", "eal", Gen(seed).grow()
+        yield f"lalgen{seed}", "lal", LalGen(seed).grow()
+
+
+def _agrees(g):
+    """Asserts the kept cuts equal the scan; returns the scan."""
+    scan = reference_pairs(g)
+    assert set(principal_pairs(g)) == set(scan)
+    return scan
+
+
+def _sg_choice(g, scan):
+    """`find_cuts_sg`'s key, eraser cuts skipped as `normalize_sg` does."""
+    ordered = sorted(scan, key=lambda e: (min(e[0][1], e[1][1]), max(e[0][1], e[1][1])))
+    return next(c for c in ordered if "era" not in (g.nodes[c[0][1]], g.nodes[c[1][1]]))
+
+
+def _pn_choice(net, scan):
+    """`find_cuts`'s key: the first cut at the lowest depth that is not the
+    contraction of a box that is not special."""
+    ordered = sorted(scan, key=lambda e: (edge_depth(net, e), e))
+    level = edge_depth(net, ordered[0])
+    for c in ordered:
+        if edge_depth(net, c) != level:
+            break
+        kind, _, nb = _cut_kind(net, c)
+        if kind != "contract" or is_special_box(net, net.boxes[nb]):
+            return c
+    raise AssertionError("no eligible cut at the lowest depth")
+
+
+def _checked(monkeypatch, module, name, choice):
+    """Wrap module.name so each step is compared with the scan before and
+    after it fires; returns the list of fired cuts."""
+    step = getattr(module, name)
+    fired = []
+
+    def checked(g, cut):
+        assert cut == choice(g, _agrees(g))
+        report = step(g, cut)
+        assert set(principal_pairs(copy.deepcopy(g))) == set(_agrees(g))
+        fired.append(cut)
+        return report
+
+    monkeypatch.setattr(module, name, checked)
+    return fired
+
+
+def test_kept_cuts_match_the_full_wire_scan(monkeypatch):
+    sg = _checked(monkeypatch, lamping.sharegraphs, "reduce_step_sg", _sg_choice)
+    pn = _checked(monkeypatch, lamping.proofnets, "reduce_step_pn", _pn_choice)
+    runs = 0
+    for name, mode, d in _inputs():
+        net, _, g = prepared_graph(d, mode)
+        for structure in (net, g):
+            assert set(principal_pairs(copy.deepcopy(structure))) == set(_agrees(structure))
+        normalize_sg(g)
+        normalize_mlbl(net)
+        assert not _agrees(net), name
+        assert all("era" in (g.nodes[a[1]], g.nodes[b[1]]) for a, b in _agrees(g)), name
+        runs += 1
+    assert runs == len(CORPUS) + 6 + 1 + 40
+    assert (len(sg), len(pn)) == (210, 817)  # the steps both engines take
+
+
+class CountingWires(dict):
+    """A wiring that counts the calls that would list every wire."""
+
+    def __init__(self, wires):
+        super().__init__(wires)
+        self.scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_normalizing_never_lists_the_wires():
+    net = build_proofnet(tower(4))
+    net.wires = CountingWires(net.wires)
+    assert normalize_mlbl(net)[1] == PN_STEPS[4]
+    assert net.wires.scans == 0
+
+    _, _, g = prepared_graph(church_identity(16))
+    g.wires = CountingWires(g.wires)
+    assert normalize_sg(g)[1].steps == 3 * 16
+    assert g.wires.scans == 0

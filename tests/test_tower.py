@@ -21,7 +21,7 @@ from lamping.sharegraphs import normalize_sg
 from lamping.terms import App, FuelExhausted, Var
 
 A = Atom("a")
-PN_STEPS = {1: 4, 2: 14, 3: 35, 4: 78, 5: 165, 6: 340}
+PN_STEPS = {1: 4, 2: 14, 3: 35, 4: 78, 5: 165, 6: 340, 7: 691, 8: 1394}
 
 
 def _bangs(f, n):
