@@ -4,6 +4,12 @@ A derivation is a tree of rule applications. Each node carries only the
 rule tag plus the data needed to replay it (affected variable names,
 instantiation witnesses); judgements are recomputed by the checker, so a
 stored derivation can never disagree with its own conclusion.
+
+No rule reads a subject term, so the checker derives only the context
+and type at each node (a `Sequent`). The subject term is built once, for
+the conclusion: one top-down pass carries the substitutions that the cut,
+contraction and left-arrow rules make, and renames a binder exactly
+where substituting rule by rule would rename it.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ from .formulas import (
     contains_para, erase_para, formula_eq, free_type_vars, parse_formula,
     show_formula, subst_formula, unfold_mu,
 )
-from .terms import Abs, App, Term, Var, free_vars, subst
+from .terms import Abs, App, Term, Var, free_vars, fresh_name
 
 __all__ = [
-    "Derivation", "Judgement", "RuleViolation", "DerivationSyntaxError",
+    "Derivation", "Sequent", "Judgement", "RuleViolation", "DerivationSyntaxError",
     "RULE_ARITY", "check_derivation", "check_annotated", "derivation_subject",
     "parse_derivation", "show_derivation", "to_eal_image",
     "ax", "cut", "weak", "contract", "lam", "llolli", "dapp",
@@ -50,9 +56,9 @@ class DerivationSyntaxError(Exception):
 
 
 @dataclass(frozen=True)
-class Judgement:
+class Sequent:
+    """What the checker derives at a node: the context and the type."""
     ctx: tuple[tuple[str, Formula], ...]
-    subject: Term
     type: Formula
 
     def ctx_names(self) -> tuple[str, ...]:
@@ -63,6 +69,12 @@ class Judgement:
             if n == name:
                 return f
         return None
+
+
+@dataclass(frozen=True)
+class Judgement(Sequent):
+    """A sequent with its subject term."""
+    subject: Term
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,7 @@ def dapp(fun: Derivation, arg: Derivation, tag: str, mode: str = "eal") -> Deriv
     `tag` must be unique within the enclosing derivation; it names the
     two intermediate variables.
     """
-    ftype = check_derivation(fun, mode).type
+    ftype = _check_all(fun, mode, None).type
     if not isinstance(ftype, Lolli):
         raise ValueError(f"dapp on non-arrow type {show_formula(ftype)}")
     hook, res = f"{tag}_f", f"{tag}_r"
@@ -163,25 +175,31 @@ def mu_l(x: str, ty: Mu, p: Derivation) -> Derivation:
 # checking ------------------------------------------------------------------
 
 def check_derivation(d: Derivation, mode: str = EAL) -> Judgement:
-    """Verify every rule application and return the conclusion."""
-    return _check_all(d, mode, None)
+    """Verify every rule application and return the conclusion, with its
+    subject built once."""
+    seq = _check_all(d, mode, None)
+    subject = _subject(d, _subject_free_vars(d), {})
+    if not free_vars(subject) <= set(seq.ctx_names()):
+        raise _fail((), "subject uses a variable missing from the context")
+    return Judgement(seq.ctx, seq.type, subject)
 
 
-def check_annotated(d: Derivation, mode: str = EAL) -> dict[tuple[int, ...], Judgement]:
-    """check_derivation, but returns the judgement at every node keyed by path."""
-    out: dict[tuple[int, ...], Judgement] = {}
+def check_annotated(d: Derivation, mode: str = EAL) -> dict[tuple[int, ...], Sequent]:
+    """check_derivation without the subject, returning the sequent at
+    every node keyed by path."""
+    out: dict[tuple[int, ...], Sequent] = {}
     _check_all(d, mode, out)
     return out
 
 
 def _check_all(d: Derivation, mode: str,
-               out: dict[tuple[int, ...], Judgement] | None) -> Judgement:
-    """The one checker. Judgements are kept only when `out` is given:
-    keeping them all holds every node's subject term alive at once."""
+               out: dict[tuple[int, ...], Sequent] | None) -> Sequent:
+    """The one checker. Sequents are kept only when `out` is given:
+    keeping them all holds every node's context alive at once."""
     if mode not in (EAL, LAL):
         raise ValueError(f"mode must be 'eal' or 'lal', got {mode!r}")
 
-    def go(n: Derivation, path: tuple[int, ...]) -> Judgement:
+    def go(n: Derivation, path: tuple[int, ...]) -> Sequent:
         subs = [go(p, path + (i,)) for i, p in enumerate(n.premises)]
         j = _apply_rule(n, mode, path, subs)
         if out is not None:
@@ -193,6 +211,176 @@ def _check_all(d: Derivation, mode: str,
 
 def derivation_subject(d: Derivation, mode: str = EAL) -> Term:
     return check_derivation(d, mode).subject
+
+
+# subjects ------------------------------------------------------------------
+#
+# The subject of a node is defined rule by rule: A gives x, RLolli \x.t,
+# U t{u/x}, LLolli t{y u/x}, X t{z/a}{z/b}, and the other rules keep their
+# premise's subject. `_subject` builds the conclusion's subject top-down
+# instead: `env` maps each variable to the term the ancestors' substitutions
+# put in its place, so every subterm is built once. Capture-avoiding
+# substitution renames a binder when the substituted term has the binder
+# free and the body has the substituted variable free; `_binder_name`
+# replays that decision for each pending substitution, from the nearest
+# ancestor outward, on free-variable sets alone.
+
+# the rules that change the subject; every other rule keeps its premise's
+_SUBJECT_RULES = frozenset(("A", "U", "X", "RLolli", "LLolli"))
+
+
+def _subject(d: Derivation, fv: dict[int, frozenset[str]],
+             built: dict[int, Term]) -> Term:
+    """The subject of a checked derivation, built without recursion. `fv`
+    maps id(node) to its subject's free variables for every node in d;
+    `built` maps id(node) to subjects already built, which are reused
+    where no substitution is pending."""
+    env: dict[str, Term] = {}
+    out: list[Term] = []
+    # Work items: ("go", node, pending) builds a node's subject under env;
+    # ("bind", x, head, pending, node) binds x to the subject just built,
+    # applied to head unless head is None, and goes on with node;
+    # ("undo", saved) restores env; ("abs", name) wraps a body. `pending`
+    # is a linked list ((variable, free names of its term), rest), nearest
+    # ancestor first, of the substitutions still to reach a binder.
+    work: list[tuple] = [("go", d, None)]
+    while work:
+        item = work.pop()
+        tag = item[0]
+        if tag == "undo":
+            for x, old in item[1]:
+                if old is None:
+                    env.pop(x, None)
+                else:
+                    env[x] = old
+        elif tag == "abs":
+            out.append(Abs(item[1], out.pop()))
+        elif tag == "bind":
+            _, x, head, pending, node = item
+            t = out.pop()
+            work.append(("undo", ((x, env.get(x)),)))
+            env[x] = t if head is None else App(head, t)
+            work.append(("go", node, pending))
+        else:
+            _, n, pending = item
+            while n.rule not in _SUBJECT_RULES:
+                n = n.premises[0]
+            if not env and pending is None and id(n) in built:
+                out.append(built[id(n)])
+                continue
+            rule = n.rule
+            if rule == "A":
+                x = n.get("var")
+                out.append(env.get(x) or Var(x))
+            elif rule == "U":
+                left, right = n.premises
+                x = n.get("var")
+                work.append(("bind", x, None, ((x, fv[id(left)]), pending), right))
+                work.append(("go", left, pending))
+            elif rule == "LLolli":
+                arg, body = n.premises
+                y, x = n.get("fun"), n.get("var")
+                head = env.get(y) or Var(y)
+                work.append(("bind", x, head, ((x, fv[id(arg)] | {y}), pending), body))
+                work.append(("go", arg, pending))
+            elif rule == "X":
+                a, b, z = n.get("a"), n.get("b"), n.get("z")
+                work.append(("undo", ((a, env.get(a)), (b, env.get(b)))))
+                env[a] = env[b] = env.get(z) or Var(z)
+                zs = frozenset((z,))
+                work.append(("go", n.premises[0], ((a, zs), ((b, zs), pending))))
+            elif rule == "RLolli":
+                (p,) = n.premises
+                x = n.get("var")
+                name, inner = _binder_name(x, fv[id(p)], pending)
+                work.append(("abs", name))
+                work.append(("undo", ((x, env.get(x)),)))
+                env[x] = Var(name)
+                work.append(("go", p, inner))
+    (t,) = out
+    return t
+
+
+def _binder_name(x: str, body_fv: frozenset[str],
+                 pending: tuple | None) -> tuple[str, tuple | None]:
+    """The name that substituting rule by rule gives the binder of x, and
+    the substitutions pending inside its body.
+
+    `body_fv` holds the free variables of the body before any pending
+    substitution. A substitution stops at a binder of its own variable;
+    one that renames the binder first substitutes the new name for the
+    old one in the body.
+    """
+    node = pending
+    while node is not None:
+        (y, names), node = node
+        if y == x or x in names:
+            break
+    else:
+        return x, pending  # nothing stops at this binder or renames it
+    b, body, inner = x, body_fv, []
+    node = pending
+    while node is not None:
+        (y, names), node = node
+        if y == b:
+            continue
+        if b in names and y in body:
+            new = fresh_name(b, names | body | {y})
+            inner.append((b, frozenset((new,))))
+            body = body - {b} | {new} if b in body else body
+            b = new
+        if y in body:
+            body = body - {y} | names
+        inner.append((y, names))
+    node = None
+    for sub in reversed(inner):
+        node = (sub, node)
+    return b, node
+
+
+def _node_subjects(d: Derivation) -> dict[int, Term]:
+    """Every node's subject, keyed by id(node). Premises come first, so a
+    node reuses a premise's subject wherever no substitution is pending."""
+    fv = _subject_free_vars(d)
+    built: dict[int, Term] = {}
+    for n in _premises_first(d):
+        built[id(n)] = _subject(n, fv, built)
+    return built
+
+
+def _premises_first(d: Derivation) -> list[Derivation]:
+    preorder, stack = [], [d]
+    while stack:
+        n = stack.pop()
+        preorder.append(n)
+        stack.extend(n.premises)
+    return preorder[::-1]
+
+
+def _subject_free_vars(d: Derivation) -> dict[int, frozenset[str]]:
+    """The free variables of every node's subject, keyed by id(node),
+    computed from the rules without building a term."""
+    fv: dict[int, frozenset[str]] = {}
+    for n in _premises_first(d):
+        rule = n.rule
+        if rule == "A":
+            s = frozenset((n.get("var"),))
+        elif rule in ("U", "LLolli"):
+            u, t = (fv[id(p)] for p in n.premises)
+            x = n.get("var")
+            if rule == "LLolli":
+                u = u | {n.get("fun")}
+            s = t - {x} | u if x in t else t
+        elif rule == "X":
+            t = fv[id(n.premises[0])]
+            a, b = n.get("a"), n.get("b")
+            s = t - {a, b} | {n.get("z")} if a in t or b in t else t
+        elif rule == "RLolli":
+            s = fv[id(n.premises[0])] - {n.get("var")}
+        else:
+            s = fv[id(n.premises[0])]
+        fv[id(n)] = s
+    return fv
 
 
 def _fail(path: tuple[int, ...], reason: str) -> RuleViolation:
@@ -227,15 +415,7 @@ def _ctx_merge(path: tuple[int, ...], *parts: tuple[tuple[str, Formula], ...]) -
 
 
 def _apply_rule(d: Derivation, mode: str, path: tuple[int, ...],
-                subs: list[Judgement]) -> Judgement:
-    j = _apply_rule_inner(d, mode, path, subs)
-    if not free_vars(j.subject) <= set(j.ctx_names()):
-        raise _fail(path, "subject uses a variable missing from the context")
-    return j
-
-
-def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
-                      subs: list[Judgement]) -> Judgement:
+                subs: list[Sequent]) -> Sequent:
     if mode == EAL:
         for _, v in d.data:
             if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)) and contains_para(v):
@@ -243,7 +423,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "A":
         x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
-        return Judgement(((x, ty),), Var(x), ty)
+        return Sequent(((x, ty),), ty)
 
     if d.rule == "U":
         left, right = subs
@@ -254,14 +434,14 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         if not formula_eq(xty, left.type):
             raise _fail(path, f"cut type mismatch: {show_formula(left.type)} vs {show_formula(xty)}")
         ctx = _ctx_merge(path, left.ctx, _ctx_remove(right.ctx, x))
-        return Judgement(ctx, subst(right.subject, x, left.subject), right.type)
+        return Sequent(ctx, right.type)
 
     if d.rule == "W":
         (p,) = subs
         x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
         if p.lookup(x) is not None:
             raise _fail(path, f"weakened variable {x!r} already in context")
-        return Judgement(p.ctx + ((x, ty),), p.subject, p.type)
+        return Sequent(p.ctx + ((x, ty),), p.type)
 
     if d.rule == "X":
         (p,) = subs
@@ -278,8 +458,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         if z != a and z != b and p.lookup(z) is not None:
             raise _fail(path, f"contraction target {z!r} already in context")
         ctx = tuple((z, f) if n == a else (n, f) for n, f in _ctx_remove(p.ctx, b))
-        subj = subst(subst(p.subject, a, Var(z)), b, Var(z))
-        return Judgement(ctx, subj, p.type)
+        return Sequent(ctx, p.type)
 
     if d.rule == "RLolli":
         (p,) = subs
@@ -287,7 +466,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         xty = p.lookup(x)
         if xty is None:
             raise _fail(path, f"abstracted variable {x!r} not in context")
-        return Judgement(_ctx_remove(p.ctx, x), Abs(x, p.subject), Lolli(xty, p.type))
+        return Sequent(_ctx_remove(p.ctx, x), Lolli(xty, p.type))
 
     if d.rule == "LLolli":
         parg, pbody = subs
@@ -296,15 +475,14 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         if xty is None:
             raise _fail(path, f"continuation variable {x!r} not in right context")
         ctx = _ctx_merge(path, parg.ctx, _ctx_remove(pbody.ctx, x), ((y, Lolli(parg.type, xty)),))
-        subj = subst(pbody.subject, x, App(Var(y), parg.subject))
-        return Judgement(ctx, subj, pbody.type)
+        return Sequent(ctx, pbody.type)
 
     if d.rule == "PBang":
         if mode != EAL:
             raise _fail(path, "PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
         (p,) = subs
         ctx = tuple((n, Bang(f)) for n, f in p.ctx)
-        return Judgement(ctx, p.subject, Bang(p.type))
+        return Sequent(ctx, Bang(p.type))
 
     if d.rule == "PBang1":
         if mode != LAL:
@@ -312,7 +490,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         (p,) = subs
         if p.ctx:
             raise _fail(path, "PBang1 requires an empty context")
-        return Judgement((), p.subject, Bang(p.type))
+        return Sequent((), Bang(p.type))
 
     if d.rule == "PBang2":
         if mode != LAL:
@@ -323,7 +501,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         (x, xty), = p.ctx
         if not formula_eq(xty, p.type):
             raise _fail(path, "PBang2 requires the hypothesis type to match the subject type")
-        return Judgement(((x, Bang(xty)),), p.subject, Bang(p.type))
+        return Sequent(((x, Bang(xty)),), Bang(p.type))
 
     if d.rule == "PPara":
         if mode != LAL:
@@ -335,7 +513,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
             if x not in names:
                 raise _fail(path, f"PPara bang list names unknown variable {x!r}")
         ctx = tuple((n, Bang(f) if n in banged else Para(f)) for n, f in p.ctx)
-        return Judgement(ctx, p.subject, Para(p.type))
+        return Sequent(ctx, Para(p.type))
 
     if d.rule == "RForall":
         (p,) = subs
@@ -343,7 +521,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         for n, f in p.ctx:
             if tv in free_type_vars(f):
                 raise _fail(path, f"type variable {tv!r} occurs free in the type of {n!r}")
-        return Judgement(p.ctx, p.subject, Forall(tv, p.type))
+        return Sequent(p.ctx, Forall(tv, p.type))
 
     if d.rule == "LForall":
         (p,) = subs
@@ -357,7 +535,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
             raise _fail(path, f"instantiation mismatch: hypothesis {show_formula(xty)} "
                               f"!= {show_formula(expected)}")
         ctx = tuple((n, ty if n == x else f) for n, f in p.ctx)
-        return Judgement(ctx, p.subject, p.type)
+        return Sequent(ctx, p.type)
 
     if d.rule == "RMu":
         (p,) = subs
@@ -365,7 +543,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         if not formula_eq(p.type, unfold_mu(ty)):
             raise _fail(path, f"fold mismatch: subject has {show_formula(p.type)}, "
                               f"expected {show_formula(unfold_mu(ty))}")
-        return Judgement(p.ctx, p.subject, ty)
+        return Sequent(p.ctx, ty)
 
     if d.rule == "LMu":
         (p,) = subs
@@ -376,7 +554,7 @@ def _apply_rule_inner(d: Derivation, mode: str, path: tuple[int, ...],
         if not formula_eq(xty, unfold_mu(ty)):
             raise _fail(path, f"unfold mismatch: hypothesis has {show_formula(xty)}")
         ctx = tuple((n, ty if n == x else f) for n, f in p.ctx)
-        return Judgement(ctx, p.subject, p.type)
+        return Sequent(ctx, p.type)
 
     raise _fail(path, f"unhandled rule {d.rule}")
 
@@ -416,11 +594,12 @@ _D_TOKEN = re.compile(r"\s*(\(|\)|\{|\}|\[|\]|[^\s(){}\[\]]+)")
 def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
                     mode: str = EAL) -> str:
     ann = check_annotated(d, mode) if judgements else None
+    subjects = _node_subjects(d) if judgements else {}
 
-    def fmt_judgement(j: Judgement) -> str:
+    def fmt_judgement(j: Sequent, node: Derivation) -> str:
         from .terms import show_term
         ctx = ", ".join(f"{n}:{show_formula(f)}" for n, f in j.ctx)
-        return f"[{ctx} |- {show_term(j.subject)} : {show_formula(j.type)}]"
+        return f"[{ctx} |- {show_term(subjects[id(node)])} : {show_formula(j.type)}]"
 
     def go(node: Derivation, depth: int, path: tuple[int, ...]) -> str:
         pad = "  " * depth
@@ -434,7 +613,7 @@ def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
             else:
                 parts.append(f"{{{k} {v}}}")
         if ann is not None:
-            parts.append(fmt_judgement(ann[path]))
+            parts.append(fmt_judgement(ann[path], node))
         head = pad + "(" + " ".join(parts)
         if not node.premises:
             return head + ")"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import shlex
@@ -34,6 +36,21 @@ def test_check_prints_judgement(capsys):
     code, out, _ = _run(["check", RUNNING], capsys)
     assert code == 0
     assert "(\\x.f x x) (\\z.g z) : b" in out
+
+
+# sha256 of the stdout of `check` and `check --annotate`, keyed file/command
+CHECK_SHA256 = json.loads((Path(__file__).parent / "check_sha256.json").read_text())
+CORPUS_FILES = sorted(p.name for p in (ROOT / "corpus").iterdir())
+
+
+@pytest.mark.parametrize("command", ["check", "annotate"])
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_check_output_matches_pinned_digest(capsys, name, command):
+    path = ROOT / "corpus" / name
+    argv = ["check", str(path), "--mode", path.suffix[1:]]
+    code, out, _ = _run(argv + ["--annotate"] * (command == "annotate"), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SHA256[f"{name}/{command}"]
 
 
 def test_run_report_and_exit_code(capsys):

@@ -1,17 +1,32 @@
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from lamping.corpus import build
+import lamping.derivations
+import lamping.terms
+from lamping.corpus import _church, build
 from lamping.derivations import (
-    Derivation, RuleViolation, ax, bang, bang2, check_derivation, contract,
-    derivation_subject, llolli, parse_derivation, show_derivation,
-    to_eal_image, weak,
+    Derivation, RuleViolation, ax, bang, bang2, check_annotated,
+    check_derivation, contract, cut, derivation_subject, lam, llolli,
+    parse_derivation, show_derivation, to_eal_image, weak,
 )
 from lamping.formulas import (
-    Atom, Lolli, Para, erase_para, formula_eq, parse_formula, show_formula,
+    Atom, Bang, Lolli, Para, erase_para, formula_eq, parse_formula, show_formula,
 )
-from lamping.terms import alpha_eq, beta_normalize, parse_term
+from lamping.proofnets import build_proofnet
+from lamping.terms import (
+    Abs, App, Var, alpha_eq, beta_normalize, free_vars, parse_term, show_term,
+    subst,
+)
+from test_randomized import Gen, LalGen
+from test_readback import church_sz
+from test_tower import tower
+from test_weight_golden import church_identity
 
 A = Atom("a")
+B = Atom("b")
 AA = Lolli(A, A)
 
 
@@ -154,3 +169,144 @@ def test_corpus_files_match_builders(corpus):
         path = root / f"{name}.{mode}"
         assert path.exists(), f"missing corpus file for {name}"
         assert parse_derivation(path.read_text()) == d
+
+
+# subjects ------------------------------------------------------------------
+
+def reference_subject(d: Derivation) -> dict[tuple[int, ...], object]:
+    """Every node's subject by the rules, substituting at each node:
+    A gives x, RLolli \\x.t, U t{u/x}, LLolli t{y u/x}, X t{z/a}{z/b}."""
+    out = {}
+
+    def go(n, path):
+        subs = [go(p, path + (i,)) for i, p in enumerate(n.premises)]
+        if n.rule == "A":
+            t = Var(n.get("var"))
+        elif n.rule == "U":
+            t = subst(subs[1], n.get("var"), subs[0])
+        elif n.rule == "X":
+            z = Var(n.get("z"))
+            t = subst(subst(subs[0], n.get("a"), z), n.get("b"), z)
+        elif n.rule == "RLolli":
+            t = Abs(n.get("var"), subs[0])
+        elif n.rule == "LLolli":
+            t = subst(subs[1], n.get("var"), App(Var(n.get("fun")), subs[0]))
+        else:
+            (t,) = subs
+        out[path] = t
+        return t
+
+    go(d, ())
+    return out
+
+
+def _nodes(d):
+    stack = [((), d)]
+    while stack:
+        path, n = stack.pop()
+        yield path, n
+        stack.extend((path + (i,), p) for i, p in enumerate(n.premises))
+
+
+def _reference_inputs():
+    """name -> (mode, derivation)."""
+    root = Path(__file__).resolve().parents[1] / "corpus"
+    out = {p.name: (p.suffix[1:], parse_derivation(p.read_text()))
+           for p in sorted(root.iterdir())}
+    for seed in range(40):
+        out[f"gen{seed}"] = ("eal", Gen(seed).grow())
+        out[f"lalgen{seed}"] = ("lal", LalGen(seed).grow())
+    for n in (16, 32, 48):
+        out[f"church_identity{n}"] = ("eal", church_identity(n))
+        out[f"church_sz{n}"] = ("eal", church_sz(n))
+    for k in range(1, 10):
+        out[f"tower{k}"] = ("eal", tower(k))
+    return out
+
+
+REFERENCE_INPUTS = _reference_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_subject_is_the_rule_by_rule_subject(name):
+    """Binder names included, at the root and at every node, checked
+    alone and as printed by the annotated form (premises first in order)."""
+    mode, d = REFERENCE_INPUTS[name]
+    expected = reference_subject(d)
+    assert check_derivation(d, mode).subject == expected[()]
+    for path, node in _nodes(d):
+        assert derivation_subject(node, mode) == expected[path], path
+    annotated = show_derivation(d, judgements=True, mode=mode)
+    assert re.findall(r"\|- (.*?) : ", annotated) == [show_term(expected[path])
+                                                      for path in sorted(expected)]
+
+
+def _f_applied_to(x1: str, x2: str):
+    """f:!a -o !a -o b, x1:!a, x2:!a |- f x1 x2 : b."""
+    body = llolli("h", "u", ax(x2, Bang(A)), ax("u", B))
+    return llolli("f", "h", ax(x1, Bang(A)), body)
+
+
+# each substituting rule, with the substituted term free in a binder's name;
+# then a binder renamed inside a renamed binder, and a binder of the cut
+# variable, where the substitution stops
+CAPTURES = {
+    "cut": (cut("v", ax("w", A), lam("w", weak("w", A, ax("v", A)))), "\\w0.w"),
+    "cut, nested": (cut("v", ax("w", AA), lam("w", lam("w0", weak("w0", A, llolli(
+        "v", "r", ax("w", A), ax("r", A)))))), "\\w0.\\w1.w w0"),
+    "cut, stopped": (cut("x", ax("c", A), weak("x", A, lam("x", lam("c", weak(
+        "c", A, ax("x", A)))))), "\\x.\\c.x"),
+    "contraction": (contract("a", "b", "z", lam("z", weak("z", A, _f_applied_to("a", "b")))),
+                    "\\z0.f z z"),
+    "left arrow, function": (llolli("g", "x", ax("y", A), lam("g", weak("g", A, ax("x", B)))),
+                             "\\g0.g y"),
+    "left arrow, argument": (llolli("f", "x", ax("y", A), lam("y", weak("y", A, ax("x", B)))),
+                             "\\y0.f y"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CAPTURES))
+def test_subject_avoids_capture(rule):
+    d, shown = CAPTURES[rule]
+    j = check_derivation(d)
+    expected = reference_subject(d)[()]
+    assert alpha_eq(j.subject, expected)
+    assert j.subject == expected
+    assert show_term(j.subject) == shown
+    assert free_vars(j.subject) <= set(j.ctx_names())
+
+
+def test_checking_substitutes_nothing(monkeypatch):
+    """The checker derives contexts and types only; check_derivation builds
+    the conclusion's subject once and takes its free variables once."""
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(lamping.derivations, "subst", counting("subst", subst), raising=False)
+    monkeypatch.setattr(lamping.terms, "subst", counting("subst", subst))
+    monkeypatch.setattr(lamping.derivations, "free_vars", counting("free_vars", free_vars))
+    d = church_identity(96)
+    check_derivation(d)
+    assert calls["subst"] == 0
+    assert calls["free_vars"] <= 1
+    calls.clear()
+    check_annotated(d)
+    assert not calls
+
+
+def test_church_200_checks_and_builds_at_the_default_recursion_limit():
+    d = _church(200)
+    t = check_derivation(d).subject
+    assert isinstance(t, Abs) and isinstance(t.body, Abs)
+    t = t.body.body
+    for _ in range(200):
+        assert isinstance(t, App) and t.fun == Var("s")
+        t = t.arg
+    assert t == Var("z")
+    assert check_annotated(d)[()].ctx == ()
+    assert build_proofnet(d).size() > 0
