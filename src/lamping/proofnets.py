@@ -66,7 +66,8 @@ class ProofNet(PortGraph):
         # node inside a box -> principal door of its innermost box; doors
         # map to their own box, nodes at depth 0 are absent
         self.box_of: dict[int, int] = {}
-        # live cut -> its depth, from edge_depth when find_cuts first met it
+        # cut -> its depth, from edge_depth when find_cuts first met it;
+        # each find_cuts drops the cuts that died since the last one
         self.cut_depth: dict[tuple[End, End], int] = {}
         self.conclusions: list[str] = []
 
@@ -257,13 +258,17 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
 def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
     """Edges principal for both endpoints, ordered by depth then node ids.
 
-    A cut's depth goes through `edge_depth`, and its check, the first time
-    a scan meets the cut; later scans reuse it from `net.cut_depth`, since
-    no step changes the depth of a wire it leaves in place.
+    `net.cut_depth` follows the live cuts by set difference: the cuts
+    fired or unwired since the last call are dropped, and only a cut met
+    for the first time goes through `edge_depth`, and its check. A kept
+    depth stays right, since no step changes the depth of a wire it
+    leaves in place.
     """
-    known = net.cut_depth
-    depth = net.cut_depth = {c: known[c] if c in known else edge_depth(net, c)
-                             for c in principal_pairs(net)}
+    live, depth = principal_pairs(net), net.cut_depth
+    for c in depth.keys() - live:
+        del depth[c]
+    for c in live - depth.keys():
+        depth[c] = edge_depth(net, c)
     return [c for _, c in sorted((d, c) for c, d in depth.items())]
 
 
@@ -435,8 +440,8 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
                    labelling=None) -> tuple[ProofNet, int]:
     """Level-by-level normalization; a box is only copied when special.
 
-    Mutates the net in place; when a labelling is given, its mapping is
-    updated step by step to the induced one.
+    Mutates the net in place; when a labelling is given, each step's
+    report carries its mapping over in place (`Labelling.carry`).
     """
     steps = 0
     while True:
@@ -460,10 +465,7 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
             raise MalformedNet("no reducible cut at the minimal level")
         report = reduce_step_pn(net, chosen)
         if labelling is not None:
-            from .translate import induced_labelling
-            updated = induced_labelling(net, labelling, report)
-            labelling.mapping.clear()
-            labelling.mapping.update(updated.mapping)
+            labelling.carry(report)
         steps += 1
 
 

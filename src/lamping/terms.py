@@ -3,6 +3,14 @@
 Parsing/printing, alpha-equivalence, head decomposition, and a
 normal-order beta normalizer that serves as the reference evaluator
 for the rest of the pipeline.
+
+Terms are immutable, so a node's free variables are computed once and
+kept on the node, outside the dataclass fields (`==`, `hash` and `repr`
+ignore them). Substitution uses them to return every subterm without
+the variable as it is, so its work follows the paths to the
+occurrences. `free_vars`, `term_size`, `alpha_eq`, `is_normal` and the
+normalizer use explicit stacks; `show_term` still recurses once per
+level.
 """
 
 from __future__ import annotations
@@ -36,19 +44,25 @@ class NotNormal(Exception):
     pass
 
 
+class _Node:
+    # the node's free variables once `free_vars` has computed them; a class
+    # attribute, not a dataclass field, so `==`, `hash` and `repr` skip it
+    _fv: frozenset[str] | None = None
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Abs:
+class Abs(_Node):
     binder: str
     body: "Term"
 
 
 @dataclass(frozen=True)
-class App:
+class App(_Node):
     fun: "Term"
     arg: "Term"
 
@@ -136,19 +150,45 @@ def show_term(t: Term) -> str:
 # basic structure
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.binder}
-    return free_vars(t.fun) | free_vars(t.arg)
+    """The free variables of t, kept on each node the first time they are
+    asked for; an explicit stack fills in the nodes not yet visited."""
+    if t._fv is not None:
+        return t._fv
+    todo = [t]
+    while todo:
+        s = todo[-1]
+        if isinstance(s, Var):
+            fv = frozenset((s.name,))
+        elif isinstance(s, Abs):
+            body = s.body._fv
+            if body is None:
+                todo.append(s.body)
+                continue
+            fv = body - {s.binder} if s.binder in body else body
+        else:
+            fun, arg = s.fun._fv, s.arg._fv
+            if fun is None or arg is None:
+                if fun is None:
+                    todo.append(s.fun)
+                if arg is None:
+                    todo.append(s.arg)
+                continue
+            fv = fun if arg <= fun else arg if fun <= arg else fun | arg
+        object.__setattr__(s, "_fv", fv)  # frozen: the dataclass refuses setattr
+        todo.pop()
+    return fv
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, Abs):
-        return 1 + term_size(t.body)
-    return 1 + term_size(t.fun) + term_size(t.arg)
+    size, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        size += 1
+        if isinstance(t, Abs):
+            todo.append(t.body)
+        elif isinstance(t, App):
+            todo += (t.fun, t.arg)
+    return size
 
 
 def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
@@ -163,43 +203,45 @@ def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
 
 def subst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding substitution t{u/x}."""
-    return _subst(t, x, u, [])
+    return _subst(t, x, u)
 
 
-def _subst(t: Term, x: str, u: Term, fu: list[frozenset[str]]) -> Term:
-    # fu is empty until an abstraction needs free_vars(u) and then holds it:
-    # one substitution computes it at most once, and not at all in a term
-    # without binders
-    if isinstance(t, Var):
-        return u if t.name == x else t
-    if isinstance(t, App):
-        return App(_subst(t.fun, x, u, fu), _subst(t.arg, x, u, fu))
-    if t.binder == x:
+def _subst(t: Term, x: str, u: Term) -> Term:
+    # a subterm without x comes back as it is, so the calls follow the
+    # paths to the occurrences of x; under an abstraction on such a path x
+    # is free in the body, and the binder is renamed when u mentions it
+    if x not in free_vars(t):
         return t
-    if not fu:
-        fu.append(free_vars(u))
-    if t.binder in fu[0] and x in free_vars(t.body):
-        b = fresh_name(t.binder, fu[0] | free_vars(t.body) | {x})
-        return Abs(b, _subst(subst(t.body, t.binder, Var(b)), x, u, fu))
-    return Abs(t.binder, _subst(t.body, x, u, fu))
+    if isinstance(t, Var):
+        return u
+    if isinstance(t, App):
+        return App(_subst(t.fun, x, u), _subst(t.arg, x, u))
+    fu = free_vars(u)
+    if t.binder in fu:
+        b = fresh_name(t.binder, fu | free_vars(t.body) | {x})
+        return Abs(b, _subst(subst(t.body, t.binder, Var(b)), x, u))
+    return Abs(t.binder, _subst(t.body, x, u))
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    def go(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+    # each entry pairs two subterms with their environments: bound name ->
+    # depth of its binder
+    todo: list[tuple[Term, Term, dict[str, int], dict[str, int], int]] = [(a, b, {}, {}, 0)]
+    while todo:
+        a, b, env_a, env_b, depth = todo.pop()
         if isinstance(a, Var) and isinstance(b, Var):
             ia, ib = env_a.get(a.name), env_b.get(b.name)
-            if ia is None and ib is None:
-                return a.name == b.name
-            return ia == ib
-        if isinstance(a, Abs) and isinstance(b, Abs):
-            return go(a.body, b.body,
-                      {**env_a, a.binder: depth}, {**env_b, b.binder: depth}, depth + 1)
-        if isinstance(a, App) and isinstance(b, App):
-            return go(a.fun, b.fun, env_a, env_b, depth) and \
-                go(a.arg, b.arg, env_a, env_b, depth)
-        return False
-
-    return go(a, b, {}, {}, 0)
+            if ia != ib or ia is None and a.name != b.name:
+                return False
+        elif isinstance(a, Abs) and isinstance(b, Abs):
+            todo.append((a.body, b.body, {**env_a, a.binder: depth},
+                         {**env_b, b.binder: depth}, depth + 1))
+        elif isinstance(a, App) and isinstance(b, App):
+            todo.append((a.arg, b.arg, env_a, env_b, depth))
+            todo.append((a.fun, b.fun, env_a, env_b, depth))
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +264,16 @@ def beta_step(t: Term) -> Term | None:
 
 
 def is_normal(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Abs):
-        return is_normal(t.body)
-    return not isinstance(t.fun, Abs) and is_normal(t.fun) and is_normal(t.arg)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Abs):
+            todo.append(t.body)
+        elif isinstance(t, App):
+            if isinstance(t.fun, Abs):
+                return False
+            todo += (t.fun, t.arg)
+    return True
 
 
 def beta_normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:

@@ -32,6 +32,23 @@ class Labelling:
     def image_size(self) -> int:
         return len(set(self.mapping.values()))
 
+    def carry(self, step: StepReport) -> None:
+        """Carry the mapping across one proof-net step in place: box
+        copies inherit from the node they copy, the contractions
+        introduced at the copied doors take the resolved node's index,
+        and then the removed nodes drop out. Touches only the entries the
+        step names."""
+        mapping = self.mapping
+        for old, (c1, c2) in step.copied.items():
+            if old in mapping:
+                mapping[c1] = mapping[c2] = mapping[old]
+        if step.resolved_contraction is not None:
+            idx = mapping[step.resolved_contraction]
+            for xj in step.fresh_contractions:
+                mapping[xj] = idx
+        for nid in step.removed:
+            mapping.pop(nid, None)
+
 
 def labelling_lt(net: ProofNet) -> Labelling:
     """Index each contraction by its box depth, packed to 0..k-1."""
@@ -110,17 +127,11 @@ def translate(net: ProofNet, lab: Labelling) -> SharingGraph:
 
 
 def induced_labelling(net: ProofNet, lab: Labelling, step: StepReport) -> Labelling:
-    """Carry a labelling across one proof-net step: surviving contractions
-    keep their index, box copies inherit from the node they copy, and the
-    contractions introduced at the copied doors take the resolved node's
-    index. Depth compatibility is preserved."""
-    mapping = {x: i for x, i in lab.mapping.items() if x in net.nodes}
-    for old, (c1, c2) in step.copied.items():
-        if old in lab.mapping:
-            mapping[c1] = lab.mapping[old]
-            mapping[c2] = lab.mapping[old]
-    if step.resolved_contraction is not None:
-        idx = lab.mapping[step.resolved_contraction]
-        for xj in step.fresh_contractions:
-            mapping[xj] = idx
-    return Labelling(mapping, k=lab.k)
+    """The labelling `lab` carried across one step of `net`, as a copy:
+    surviving contractions keep their index, box copies inherit from the
+    node they copy, and the contractions introduced at the copied doors
+    take the resolved node's index (`Labelling.carry`). Depth
+    compatibility is preserved."""
+    out = Labelling(dict(lab.mapping), k=lab.k)
+    out.carry(step)
+    return out

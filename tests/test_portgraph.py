@@ -100,11 +100,12 @@ def test_kept_cuts_match_the_full_wire_scan(monkeypatch):
     assert (len(sg), len(pn)) == (210, 817)  # the steps both engines take
 
 
-class CountingWires(dict):
-    """A wiring that counts the calls that would list every wire."""
+class CountingDict(dict):
+    """A dict (a wiring, a labelling) that counts the calls that would
+    list every entry."""
 
-    def __init__(self, wires):
-        super().__init__(wires)
+    def __init__(self, entries):
+        super().__init__(entries)
         self.scans = 0
 
     def items(self):
@@ -126,11 +127,37 @@ class CountingWires(dict):
 
 def test_normalizing_never_lists_the_wires():
     net = build_proofnet(tower(4))
-    net.wires = CountingWires(net.wires)
+    net.wires = CountingDict(net.wires)
     assert normalize_mlbl(net)[1] == PN_STEPS[4]
     assert net.wires.scans == 0
 
     _, _, g = prepared_graph(church_identity(16))
-    g.wires = CountingWires(g.wires)
+    g.wires = CountingDict(g.wires)
     assert normalize_sg(g)[1].steps == 3 * 16
     assert g.wires.scans == 0
+
+
+def test_cut_depths_follow_the_live_cuts(monkeypatch):
+    """`find_cuts` updates one depth map in place: after each call it holds
+    exactly the live cuts, and no cut's depth is computed twice."""
+    net = build_proofnet(tower(4))
+    depths = net.cut_depth
+    measured = []
+    depth_of = lamping.proofnets.edge_depth
+    scan = lamping.proofnets.find_cuts
+
+    def measuring(net, edge):
+        measured.append(edge)
+        return depth_of(net, edge)
+
+    def checked(net):
+        cuts = scan(net)
+        assert net.cut_depth is depths
+        assert set(depths) == set(cuts) == set(reference_pairs(net))
+        return cuts
+
+    monkeypatch.setattr(lamping.proofnets, "edge_depth", measuring)
+    monkeypatch.setattr(lamping.proofnets, "find_cuts", checked)
+    assert normalize_mlbl(net)[1] == PN_STEPS[4]
+    assert not depths
+    assert len(measured) == len(set(measured)) > PN_STEPS[4]

@@ -1,14 +1,19 @@
+import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import lamping.terms
+from lamping.derivations import check_derivation
 from lamping.terms import (
     Abs, App, FuelExhausted, NotNormal, TermSyntaxError, Var, alpha_eq,
     beta_normalize, beta_step, free_vars, fresh_name, head_decompose,
-    head_reassemble, is_normal, parse_term, show_term, subst,
+    head_reassemble, is_normal, parse_term, show_term, subst, term_size,
 )
+from test_readback import church_sz
+from test_tower import tower
 
 TWO = "(\\s.\\z.s (s z))"
 
@@ -234,6 +239,99 @@ def test_tower_12_normalizes_without_recursion_limit():
     k = 12
     t = parse_term(f"(\\s.{f'{TWO} (' * k}s{')' * k}) S Z")
     assert _s_power(beta_normalize(t)) == 2 ** k
+
+
+def _s_power_term(n, zero="Z"):
+    """S applied n times to Z, built node by node."""
+    t = Var(zero)
+    for _ in range(n):
+        t = App(Var("S"), t)
+    return t
+
+
+def test_term_utilities_walk_deep_terms_at_the_default_recursion_limit():
+    """S^1024 Z, the tower 10 normal form, and 1024 nested abstractions
+    are deeper than CPython's default limit of 1000 frames."""
+    deep = _s_power_term(1024)
+
+    def nest(stem, inner):
+        t = Var(inner)
+        for i in range(1024):
+            t = Abs(f"{stem}{i % 3}", App(Var(f"{stem}{i % 3}"), t))
+        return t
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert free_vars(deep) == {"S", "Z"}
+        assert term_size(deep) == 2 * 1024 + 1
+        assert is_normal(deep) and is_normal(nest("x", "z"))
+        assert not is_normal(App(Abs("y", Var("y")), deep))
+        assert alpha_eq(deep, _s_power_term(1024))
+        assert not alpha_eq(deep, _s_power_term(1023))
+        assert not alpha_eq(deep, _s_power_term(1024, "Y"))  # free names count
+        assert free_vars(nest("x", "z")) == {"z"}
+        assert term_size(nest("x", "z")) == 3 * 1024 + 1
+        assert alpha_eq(nest("x", "x0"), nest("y", "y0"))
+        assert not alpha_eq(nest("x", "x1"), nest("y", "y0"))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_free_vars_are_kept_on_the_node_outside_the_fields():
+    t = parse_term("\\x.f x (\\y.y z)")
+    assert free_vars(t) == {"f", "z"}
+    assert free_vars(t) is free_vars(t)  # computed once, then read back
+    assert free_vars(t.body.arg) is free_vars(t.body.arg)  # filled in on the way
+    assert [f.name for f in dataclasses.fields(Abs)] == ["binder", "body"]
+    assert t == parse_term("\\x.f x (\\y.y z)")  # a fresh, unvisited twin
+    assert hash(t) == hash(parse_term("\\x.f x (\\y.y z)"))
+    assert repr(t) == repr(parse_term("\\x.f x (\\y.y z)"))
+
+
+def test_subst_only_walks_the_path_to_the_variable(monkeypatch):
+    """One x at depth 50 beside x-free siblings of 401 nodes each: the
+    substitution calls `_subst` on the path and on each sibling once,
+    never inside a sibling, and hands the siblings back as they are."""
+    sibling = _s_power_term(200)
+    t = Var("x")
+    for _ in range(50):
+        t = App(sibling, Abs("w", t))
+    u = App(Var("f"), Var("w"))
+    expected = _reference_subst(t, "x", u)
+    calls = []
+    inner = lamping.terms._subst
+
+    def counting(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(lamping.terms, "_subst", counting)
+    out = subst(t, "x", u)
+    assert _same(out, expected)
+    # per level: the application, its sibling, the abstraction, and the
+    # renaming of w (u mentions w), which finds w not free in the body
+    assert len(calls) <= 4 * 50 + 1
+    probe = out
+    for _ in range(50):
+        assert probe.fun is sibling and probe.arg.binder == "w0"
+        probe = probe.arg.body
+    assert probe is u
+    calls.clear()
+    assert subst(sibling, "x", u) is sibling
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", [f"tower{k}" for k in range(1, 7)] + ["church_sz16"])
+def test_normalize_matches_the_reference_on_the_bench_families(name, monkeypatch):
+    """Binder names included, against restarting from the root, first with
+    the oracle's substitution, then with the copying reference."""
+    d = church_sz(16) if name == "church_sz16" else tower(int(name[5:]))
+    subject = check_derivation(d, "eal").subject
+    normal = beta_normalize(subject)
+    assert _same(normal, _reference_normalize(subject, 10 ** 5)[0])
+    monkeypatch.setattr(lamping.terms, "subst", _reference_subst)
+    assert _same(normal, _reference_normalize(subject, 10 ** 5)[0])
 
 
 # -- property tests ----------------------------------------------------------

@@ -2,13 +2,16 @@ import copy
 
 import pytest
 
+import lamping.proofnets
 from lamping.corpus import build
 from lamping.pipeline import prepared_graph
-from lamping.proofnets import build_proofnet, find_cuts, reduce_step_pn
+from lamping.proofnets import build_proofnet, find_cuts, normalize_mlbl, reduce_step_pn
 from lamping.translate import (
     IncompatibleLabelling, Labelling, check_compatible, induced_labelling,
     labelling_dlt, labelling_lt, translate,
 )
+from test_portgraph import CountingDict, _inputs
+from test_tower import PN_STEPS, tower
 
 
 def test_lt_packs_depths(corpus_graphs):
@@ -157,3 +160,57 @@ def test_translation_after_mlbl_reads_back(corpus_graphs):
     g = translate(net, lab)
     from lamping.terms import parse_term
     assert alpha_eq(readback_term(g, lab), parse_term("f (\\z.g z) (\\z.g z)"))
+
+
+def reference_induced_labelling(net, lab, step):
+    """The copying update `normalize_mlbl` made at every step before the
+    labelling was carried in place: filter every entry against the live
+    nodes, then add the copies and the fresh contractions."""
+    mapping = {x: i for x, i in lab.mapping.items() if x in net.nodes}
+    for old, (c1, c2) in step.copied.items():
+        if old in lab.mapping:
+            mapping[c1] = lab.mapping[old]
+            mapping[c2] = lab.mapping[old]
+    if step.resolved_contraction is not None:
+        idx = lab.mapping[step.resolved_contraction]
+        for xj in step.fresh_contractions:
+            mapping[xj] = idx
+    return Labelling(mapping, k=lab.k)
+
+
+def test_labelling_carried_in_place_matches_the_copying_reference(monkeypatch):
+    """After every step of `normalize_mlbl`, the labelling it carries in
+    place equals the reference chain, and so does `induced_labelling`."""
+    step = lamping.proofnets.reduce_step_pn
+    run = {}
+
+    def checked(net, cut):
+        lab, ref = run["lab"], run["ref"]
+        assert lab == ref  # as the previous step left it
+        report = step(net, cut)
+        run["ref"] = reference_induced_labelling(net, ref, report)
+        assert induced_labelling(net, lab, report) == run["ref"]
+        run["steps"] += 1
+        return report
+
+    monkeypatch.setattr(lamping.proofnets, "reduce_step_pn", checked)
+    steps = 0
+    for name, mode, d in _inputs():
+        for translation in ("dlt", "lt"):
+            net, lab, _ = prepared_graph(d, mode, translation)
+            mapping = lab.mapping
+            run.update(lab=lab, ref=copy.deepcopy(lab), steps=0)
+            assert normalize_mlbl(net, labelling=lab)[1] == run["steps"]
+            assert lab == run["ref"], (name, translation)
+            assert lab.mapping is mapping, name
+            assert check_compatible(net, lab), (name, translation)
+            steps += run["steps"]
+    assert steps == 2 * 817  # as in test_kept_cuts_match_the_full_wire_scan
+
+
+def test_normalize_mlbl_never_lists_the_labelling():
+    net, lab, _ = prepared_graph(tower(4))
+    lab.mapping = CountingDict(lab.mapping)
+    assert normalize_mlbl(net, labelling=lab)[1] == PN_STEPS[4]
+    assert lab.mapping.scans == 0
+    assert check_compatible(net, lab)
