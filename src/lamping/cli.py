@@ -134,10 +134,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.file}: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Stop-gap: the parser, checker, builder and readback recurse once
-        # per level of the input, so depth is bounded by Python's recursion
-        # limit until they use explicit stacks.
-        print(f"error: {args.file}: derivation or term nested too deeply "
+        # Derivations, readback and printing walk explicit stacks, but the
+        # formula functions (parse_formula, show_formula, formula_eq) and
+        # the oracle's substitution still recurse once per level: the
+        # depth of a type in the input, and of a term the oracle
+        # substitutes into, is bounded by Python's recursion limit.
+        print(f"error: {args.file}: formula or term nested too deeply "
               f"for Python's recursion limit ({sys.getrecursionlimit()})",
               file=sys.stderr)
         return 2

@@ -10,13 +10,18 @@ and type at each node (a `Sequent`). The subject term is built once, for
 the conclusion: one top-down pass carries the substitutions that the cut,
 contraction and left-arrow rules make, and renames a binder exactly
 where substituting rule by rule would rename it.
+
+Passes over every node go premises first, through `_premises_first`
+and the fold over it; the printer, the parser and `==` keep their own
+explicit stacks. No walk recurses, so a derivation's depth is limited
+by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .formulas import (
     Atom, Bang, Forall, Formula, FormulaSyntaxError, Lolli, Mu, Para,
@@ -28,7 +33,7 @@ from .terms import Abs, App, Term, Var, free_vars, fresh_name
 __all__ = [
     "Derivation", "Sequent", "Judgement", "RuleViolation", "DerivationSyntaxError",
     "RULE_ARITY", "check_derivation", "check_annotated", "derivation_subject",
-    "parse_derivation", "show_derivation", "to_eal_image",
+    "fold_derivation", "parse_derivation", "show_derivation", "to_eal_image",
     "ax", "cut", "weak", "contract", "lam", "llolli", "dapp",
     "bang", "bang1", "bang2", "para", "forall_r", "forall_l", "mu_r", "mu_l",
 ]
@@ -77,8 +82,11 @@ class Judgement(Sequent):
     subject: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
+    """A rule application and its premises. Two derivations are equal when
+    they are the same tree, compared node by node from an explicit stack.
+    The hash reads the root only, which equal trees share."""
     rule: str
     data: tuple[tuple[str, object], ...] = ()
     premises: tuple["Derivation", ...] = ()
@@ -88,6 +96,22 @@ class Derivation:
             raise ValueError(f"unknown rule tag {self.rule!r}")
         if len(self.premises) != RULE_ARITY[self.rule]:
             raise ValueError(f"rule {self.rule} takes {RULE_ARITY[self.rule]} premises")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.rule != b.rule or a.data != b.data:
+                return False
+            todo.extend(zip(a.premises, b.premises))  # the rule fixes the arity
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.data, len(self.premises)))
 
     def get(self, key: str) -> object:
         for k, v in self.data:
@@ -199,14 +223,13 @@ def _check_all(d: Derivation, mode: str,
     if mode not in (EAL, LAL):
         raise ValueError(f"mode must be 'eal' or 'lal', got {mode!r}")
 
-    def go(n: Derivation, path: tuple[int, ...]) -> Sequent:
-        subs = [go(p, path + (i,)) for i, p in enumerate(n.premises)]
+    def visit(n: Derivation, path: tuple[int, ...], subs: list[Sequent]) -> Sequent:
         j = _apply_rule(n, mode, path, subs)
         if out is not None:
             out[path] = j
         return j
 
-    return go(d, ())
+    return fold_derivation(d, visit)
 
 
 def derivation_subject(d: Derivation, mode: str = EAL) -> Term:
@@ -343,25 +366,47 @@ def _node_subjects(d: Derivation) -> dict[int, Term]:
     node reuses a premise's subject wherever no substitution is pending."""
     fv = _subject_free_vars(d)
     built: dict[int, Term] = {}
-    for n in _premises_first(d):
+    for n, _ in _premises_first(d):
         built[id(n)] = _subject(n, fv, built)
     return built
 
 
-def _premises_first(d: Derivation) -> list[Derivation]:
-    preorder, stack = [], [d]
+def _premises_first(d: Derivation) -> list[tuple[Derivation, tuple[int, ...]]]:
+    """Every node of d with its path, in post-order, left to right: each
+    node comes after all of its premises, and premise 0's subtree comes
+    before premise 1's. It reverses a pre-order, taken with an explicit
+    stack, that visits premise 1's subtree first."""
+    order, stack = [], [(d, ())]
     while stack:
-        n = stack.pop()
-        preorder.append(n)
-        stack.extend(n.premises)
-    return preorder[::-1]
+        item = stack.pop()
+        order.append(item)
+        n, path = item
+        for i, p in enumerate(n.premises):
+            stack.append((p, path + (i,)))
+    order.reverse()
+    return order
+
+
+def fold_derivation(d: Derivation,
+                    visit: Callable[[Derivation, tuple[int, ...], list], Any]) -> Any:
+    """Call visit(node, path, results) at every node of d, premises first,
+    where `results` holds what visit returned for the node's premises, in
+    premise order, taken from a value stack. Returns the root's result."""
+    values: list = []
+    for n, path in _premises_first(d):
+        k = len(values) - len(n.premises)
+        subs = values[k:]
+        del values[k:]
+        values.append(visit(n, path, subs))
+    (result,) = values
+    return result
 
 
 def _subject_free_vars(d: Derivation) -> dict[int, frozenset[str]]:
     """The free variables of every node's subject, keyed by id(node),
     computed from the rules without building a term."""
     fv: dict[int, frozenset[str]] = {}
-    for n in _premises_first(d):
+    for n, _ in _premises_first(d):
         rule = n.rule
         if rule == "A":
             s = frozenset((n.get("var"),))
@@ -562,16 +607,19 @@ def _apply_rule(d: Derivation, mode: str, path: tuple[int, ...],
 def to_eal_image(d: Derivation) -> Derivation:
     """Map an LAL derivation to its EAL image: paragraph boxes become
     plain boxes and every paragraph modality becomes a bang."""
-    prem = tuple(to_eal_image(p) for p in d.premises)
-    rule = "PBang" if d.rule in ("PBang1", "PBang2", "PPara") else d.rule
-    data = []
-    for k, v in d.data:
-        if k == "bang":
-            continue
-        if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)):
-            v = erase_para(v)
-        data.append((k, v))
-    return Derivation(rule, tuple(data), prem)
+    def visit(n: Derivation, path: tuple[int, ...],
+              prem: list[Derivation]) -> Derivation:
+        rule = "PBang" if n.rule in ("PBang1", "PBang2", "PPara") else n.rule
+        data = []
+        for k, v in n.data:
+            if k == "bang":
+                continue
+            if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)):
+                v = erase_para(v)
+            data.append((k, v))
+        return Derivation(rule, tuple(data), tuple(prem))
+
+    return fold_derivation(d, visit)
 
 
 # text format ---------------------------------------------------------------
@@ -593,6 +641,8 @@ _D_TOKEN = re.compile(r"\s*(\(|\)|\{|\}|\[|\]|[^\s(){}\[\]]+)")
 
 def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
                     mode: str = EAL) -> str:
+    """The text of d: one line per node, in pre-order, indented by depth.
+    A node's ')' closes the line of its last descendant."""
     ann = check_annotated(d, mode) if judgements else None
     subjects = _node_subjects(d) if judgements else {}
 
@@ -601,8 +651,15 @@ def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
         ctx = ", ".join(f"{n}:{show_formula(f)}" for n, f in j.ctx)
         return f"[{ctx} |- {show_term(subjects[id(node)])} : {show_formula(j.type)}]"
 
-    def go(node: Derivation, depth: int, path: tuple[int, ...]) -> str:
-        pad = "  " * depth
+    out: list[str] = []
+    # a node with its path, or None for the ')' after a node's last premise
+    todo: list[tuple[Derivation, tuple[int, ...]] | None] = [(d, ())]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            out.append(")")
+            continue
+        node, path = item
         parts = [node.rule]
         for k, v in node.data:
             if k in _FORMULA_KEYS:
@@ -614,71 +671,83 @@ def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
                 parts.append(f"{{{k} {v}}}")
         if ann is not None:
             parts.append(fmt_judgement(ann[path], node))
-        head = pad + "(" + " ".join(parts)
-        if not node.premises:
-            return head + ")"
-        body = "\n".join(go(p, depth + 1, path + (i,))
-                         for i, p in enumerate(node.premises))
-        return head + "\n" + body + ")"
+        if out:
+            out.append("\n")
+        out.append("  " * (indent + len(path)) + "(" + " ".join(parts))
+        if node.premises:
+            todo.append(None)
+            todo.extend((node.premises[i], path + (i,))
+                        for i in reversed(range(len(node.premises))))
+        else:
+            out.append(")")
+    return "".join(out)
 
-    return go(d, indent, ())
+
+def _parse_head(toks: list[str], pos: int) -> tuple[str, list[tuple[str, object]], int]:
+    """Read a node's '(', rule tag, fields and judgement annotation from
+    token `pos`; returns the rule, the fields and the next position."""
+    if pos >= len(toks) or toks[pos] != "(":
+        raise DerivationSyntaxError(f"expected '(' at token {pos}")
+    pos += 1
+    if pos >= len(toks) or toks[pos] not in RULE_ARITY:
+        raise DerivationSyntaxError(f"unknown rule tag {toks[pos] if pos < len(toks) else None!r}")
+    rule = toks[pos]
+    pos += 1
+    data: list[tuple[str, object]] = []
+    while pos < len(toks) and toks[pos] == "{":
+        pos += 1
+        raw: list[str] = []
+        while pos < len(toks) and toks[pos] != "}":
+            raw.append(toks[pos])
+            pos += 1
+        if pos >= len(toks):
+            raise DerivationSyntaxError("unterminated field")
+        if not raw:
+            raise DerivationSyntaxError(f"empty field at token {pos}")
+        pos += 1
+        key, raw = raw[0], raw[1:]
+        if key in _FORMULA_KEYS:
+            try:
+                data.append((key, parse_formula(" ".join(raw))))
+            except FormulaSyntaxError as e:
+                raise DerivationSyntaxError(f"field {key!r}: {e}") from None
+        elif key in _LIST_KEYS:
+            data.append((key, tuple(raw)))
+        else:
+            if len(raw) != 1:
+                raise DerivationSyntaxError(f"field {key!r} takes one value")
+            data.append((key, raw[0]))
+    if pos < len(toks) and toks[pos] == "[":
+        while pos < len(toks) and toks[pos] != "]":
+            pos += 1
+        if pos >= len(toks):
+            raise DerivationSyntaxError("unterminated judgement annotation")
+        pos += 1
+    return rule, data, pos
 
 
 def parse_derivation(text: str) -> Derivation:
     toks: list[str] = _D_TOKEN.findall(text)
+    # the nodes whose ')' is still to come, innermost last, each with the
+    # premises read so far
+    open_nodes: list[tuple[str, list[tuple[str, object]], list[Derivation]]] = []
     pos = 0
-
-    def parse_node() -> Derivation:
-        nonlocal pos
-        if pos >= len(toks) or toks[pos] != "(":
-            raise DerivationSyntaxError(f"expected '(' at token {pos}")
-        pos += 1
-        if pos >= len(toks) or toks[pos] not in RULE_ARITY:
-            raise DerivationSyntaxError(f"unknown rule tag {toks[pos] if pos < len(toks) else None!r}")
-        rule = toks[pos]
-        pos += 1
-        data: list[tuple[str, object]] = []
-        while pos < len(toks) and toks[pos] == "{":
-            pos += 1
-            raw: list[str] = []
-            while pos < len(toks) and toks[pos] != "}":
-                raw.append(toks[pos])
-                pos += 1
-            if pos >= len(toks):
-                raise DerivationSyntaxError("unterminated field")
-            if not raw:
-                raise DerivationSyntaxError(f"empty field at token {pos}")
-            pos += 1
-            key, raw = raw[0], raw[1:]
-            if key in _FORMULA_KEYS:
-                try:
-                    data.append((key, parse_formula(" ".join(raw))))
-                except FormulaSyntaxError as e:
-                    raise DerivationSyntaxError(f"field {key!r}: {e}") from None
-            elif key in _LIST_KEYS:
-                data.append((key, tuple(raw)))
-            else:
-                if len(raw) != 1:
-                    raise DerivationSyntaxError(f"field {key!r} takes one value")
-                data.append((key, raw[0]))
-        if pos < len(toks) and toks[pos] == "[":
-            while pos < len(toks) and toks[pos] != "]":
-                pos += 1
-            if pos >= len(toks):
-                raise DerivationSyntaxError("unterminated judgement annotation")
-            pos += 1
-        premises: list[Derivation] = []
-        while pos < len(toks) and toks[pos] == "(":
-            premises.append(parse_node())
+    while True:
+        if not open_nodes or (pos < len(toks) and toks[pos] == "("):
+            rule, data, pos = _parse_head(toks, pos)
+            open_nodes.append((rule, data, []))
+            continue
         if pos >= len(toks) or toks[pos] != ")":
             raise DerivationSyntaxError(f"expected ')' at token {pos}")
         pos += 1
+        rule, data, premises = open_nodes.pop()
         try:
-            return Derivation(rule, tuple(data), tuple(premises))
+            d = Derivation(rule, tuple(data), tuple(premises))
         except ValueError as e:
             raise DerivationSyntaxError(str(e)) from None
-
-    d = parse_node()
+        if not open_nodes:
+            break
+        open_nodes[-1][2].append(d)
     if pos != len(toks):
         raise DerivationSyntaxError("trailing input after derivation")
     return d

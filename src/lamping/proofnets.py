@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .derivations import Derivation, check_annotated
+from .derivations import Derivation, check_annotated, fold_derivation
 from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
 from .terms import FuelExhausted
 
@@ -126,7 +126,13 @@ def net_depth(net: ProofNet) -> int:
 # construction from a checked derivation
 
 def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
-    """Translate a derivation, rule by rule, into its proof-net."""
+    """Translate a derivation, rule by rule, into its proof-net.
+
+    Each node is translated after its premises (`fold_derivation`), from
+    their subnets: (main sentinel, hypothesis sentinels, first node id).
+    No node is removed while building, so a subnet's nodes are the ids
+    from its first one on, which a box takes as its contents.
+    """
     judgements = check_annotated(d, mode)
     net = ProofNet()
     sentinels = itertools.count()
@@ -134,54 +140,23 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
     def new_sent() -> End:
         return ("s", next(sentinels))
 
-    def go(node: Derivation, path: tuple) -> tuple[End, dict[str, End]]:
-        """Returns (main sentinel, hypothesis sentinels) for the subnet."""
+    def visit(node: Derivation, path: tuple,
+              subs: list) -> tuple[End, dict[str, End], int]:
         rule = node.rule
-
         if rule == "A":
             m, h = new_sent(), new_sent()
             net.link(m, h)
-            return m, {node.get("var"): h}  # type: ignore[dict-item]
+            return m, {node.get("var"): h}, len(net.nodes)  # type: ignore[dict-item]
 
+        start = subs[0][2]
         if rule == "U":
-            m1, h1 = go(node.premises[0], path + (0,))
-            m2, h2 = go(node.premises[1], path + (1,))
+            (m1, h1, _), (m2, h2, _) = subs
             x = node.get("var")
             net.splice(m1, h2.pop(x))  # type: ignore[arg-type]
-            return m2, {**h1, **h2}
-
-        if rule == "W":
-            m, h = go(node.premises[0], path + (0,))
-            w = net.add_node("W")
-            s = new_sent()
-            net.link(("n", w, "e"), s)
-            h[node.get("var")] = s  # type: ignore[index]
-            return m, h
-
-        if rule == "X":
-            m, h = go(node.premises[0], path + (0,))
-            a, b, z = node.get("a"), node.get("b"), node.get("z")
-            x = net.add_node("X")
-            net.attach(("n", x, "p"), h.pop(a))  # type: ignore[arg-type]
-            net.attach(("n", x, "q"), h.pop(b))  # type: ignore[arg-type]
-            s = new_sent()
-            net.link(("n", x, "pr"), s)
-            h[z] = s  # type: ignore[index]
-            return m, h
-
-        if rule == "RLolli":
-            m, h = go(node.premises[0], path + (0,))
-            x = node.get("var")
-            lam = net.add_node("RLolli")
-            net.attach(("n", lam, "bod"), m)
-            net.attach(("n", lam, "var"), h.pop(x))  # type: ignore[arg-type]
-            m2 = new_sent()
-            net.link(("n", lam, "pr"), m2)
-            return m2, h
+            return m2, {**h1, **h2}, start
 
         if rule == "LLolli":
-            m1, h1 = go(node.premises[0], path + (0,))
-            m2, h2 = go(node.premises[1], path + (1,))
+            (m1, h1, _), (m2, h2, _) = subs
             y, x = node.get("fun"), node.get("var")
             app = net.add_node("LLolli")
             net.attach(("n", app, "arg"), m1)
@@ -190,11 +165,36 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
             net.link(("n", app, "pr"), s)
             hyps = {**h1, **h2}
             hyps[y] = s  # type: ignore[index]
-            return m2, hyps
+            return m2, hyps, start
+
+        (m, h, _), = subs
+        if rule == "W":
+            w = net.add_node("W")
+            s = new_sent()
+            net.link(("n", w, "e"), s)
+            h[node.get("var")] = s  # type: ignore[index]
+            return m, h, start
+
+        if rule == "X":
+            a, b, z = node.get("a"), node.get("b"), node.get("z")
+            x = net.add_node("X")
+            net.attach(("n", x, "p"), h.pop(a))  # type: ignore[arg-type]
+            net.attach(("n", x, "q"), h.pop(b))  # type: ignore[arg-type]
+            s = new_sent()
+            net.link(("n", x, "pr"), s)
+            h[z] = s  # type: ignore[index]
+            return m, h, start
+
+        if rule == "RLolli":
+            x = node.get("var")
+            lam = net.add_node("RLolli")
+            net.attach(("n", lam, "bod"), m)
+            net.attach(("n", lam, "var"), h.pop(x))  # type: ignore[arg-type]
+            m2 = new_sent()
+            net.link(("n", lam, "pr"), m2)
+            return m2, h, start
 
         if rule in ("PBang", "PBang1", "PBang2", "PPara"):
-            start = len(net.nodes)  # no node is removed while building
-            m, h = go(node.premises[0], path + (0,))
             inner = range(start, len(net.nodes))
             banged: tuple[str, ...] = ()
             if rule == "PPara":
@@ -221,29 +221,27 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
                     net.boxes[n].parent = r
             net.box_of.update(dict.fromkeys(doors, r))
             net.boxes[r] = Box(aux_doors=doors[1:], parent=None)
-            return m2, new_h
+            return m2, new_h, start
 
         if rule in ("RForall", "RMu"):
-            m, h = go(node.premises[0], path + (0,))
             n = net.add_node(rule)
             net.attach(("n", n, "in"), m)
             m2 = new_sent()
             net.link(("n", n, "out"), m2)
-            return m2, h
+            return m2, h, start
 
         if rule in ("LForall", "LMu"):
-            m, h = go(node.premises[0], path + (0,))
             x = node.get("var")
             n = net.add_node(rule)
             net.attach(("n", n, "in"), h[x])  # type: ignore[index]
             s = new_sent()
             net.link(("n", n, "out"), s)
             h[x] = s  # type: ignore[index]
-            return m, h
+            return m, h, start
 
         raise MalformedNet(f"unhandled rule {rule}")
 
-    main, hyps = go(d, ())
+    main, hyps, _ = fold_derivation(d, visit)
     net.attach(("c", "main"), main)
     net.conclusions = ["main"]
     for name in judgements[()].ctx_names():

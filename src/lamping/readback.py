@@ -148,13 +148,32 @@ def readback_term(structure, labelling) -> Term:
                 return name
 
     memo: list = []  # [(anchor, [binder names])] in query order
-
-    def expand(anchor: Anchor) -> Term:
+    # Work items: ("expand", anchor), or ("apply", binders, head, m) to
+    # apply head to the last m terms built and wrap it in the binders. An
+    # anchor's head is resolved, against the memo so far, before its
+    # arguments are expanded depth first, left to right: that order fixes
+    # the memo and the bound names.
+    out: list[Term] = []
+    main = "main" if "main" in structure.conclusions else structure.conclusions[0]
+    work: list[tuple] = [("expand", (main, empty_ctx(labelling.k)))]
+    while work:
+        item = work.pop()
+        if item[0] == "apply":
+            _, binders, head, m = item
+            k = len(out) - m
+            for arg in out[k:]:
+                head = App(head, arg)
+            del out[k:]
+            for b in reversed(binders):
+                head = Abs(b, head)
+            out.append(head)
+            continue
+        anchor = item[1]
         ans = psi_query(structure, labelling, anchor)
         binders = [fresh() for _ in range(ans.n)]
         memo.append((anchor, binders))
         if ans.head[0] == "free":
-            head: Term = Var(ans.head[1])
+            head = Var(ans.head[1])
         else:
             _, banchor, l = ans.head
             entry = _resolve_binder(memo, banchor)
@@ -162,11 +181,7 @@ def readback_term(structure, labelling) -> Term:
             if l >= len(names):
                 raise ReadbackError(f"binder index {l} out of range at {banchor}")
             head = Var(names[l])
-        for arg in ans.args:
-            head = App(head, expand(arg))
-        for b in reversed(binders):
-            head = Abs(b, head)
-        return head
-
-    main = "main" if "main" in structure.conclusions else structure.conclusions[0]
-    return expand((main, empty_ctx(labelling.k)))
+        work.append(("apply", binders, head, len(ans.args)))
+        work.extend(("expand", arg) for arg in reversed(ans.args))
+    (t,) = out
+    return t

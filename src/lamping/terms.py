@@ -8,9 +8,9 @@ Terms are immutable, so a node's free variables are computed once and
 kept on the node, outside the dataclass fields (`==`, `hash` and `repr`
 ignore them). Substitution uses them to return every subterm without
 the variable as it is, so its work follows the paths to the
-occurrences. `free_vars`, `term_size`, `alpha_eq`, `is_normal` and the
-normalizer use explicit stacks; `show_term` still recurses once per
-level.
+occurrences. `show_term`, `free_vars`, `term_size`, `alpha_eq`,
+`is_normal` and the normalizer use explicit stacks; substitution recurses
+once per level of the path to an occurrence.
 """
 
 from __future__ import annotations
@@ -133,17 +133,25 @@ def parse_term(text: str) -> Term:
 
 
 def show_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        return f"\\{t.binder}.{show_term(t.body)}"
-    fun = show_term(t.fun)
-    if isinstance(t.fun, Abs):
-        fun = f"({fun})"
-    arg = show_term(t.arg)
-    if isinstance(t.arg, (Abs, App)):
-        arg = f"({arg})"
-    return f"{fun} {arg}"
+    """The text of t: an abstraction in function position and an
+    abstraction or application in argument position are parenthesised.
+    Built left to right from a stack of subterms and literal pieces."""
+    out: list[str] = []
+    todo: list[Term | str] = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif isinstance(s, Var):
+            out.append(s.name)
+        elif isinstance(s, Abs):
+            out.append(f"\\{s.binder}.")
+            todo.append(s.body)
+        else:
+            todo.extend((")", s.arg, "(") if isinstance(s.arg, (Abs, App)) else (s.arg,))
+            todo.append(" ")
+            todo.extend((")", s.fun, "(") if isinstance(s.fun, Abs) else (s.fun,))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

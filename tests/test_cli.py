@@ -13,7 +13,7 @@ import lamping.derivations
 import lamping.semantics
 from lamping.cli import main
 from lamping.corpus import A
-from lamping.derivations import ax, lam, weak
+from lamping.derivations import ax, lam, show_derivation, weak
 from lamping.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -229,21 +229,31 @@ def test_malformed_fields_rejected_under_optimize(tmp_path, text):
 
 
 def test_deeply_nested_input_is_an_input_error(tmp_path):
-    """1000 nested weakenings exceed the recursive parser's depth; the
-    CLI reports that as an input error, not a traceback."""
-    text = "(A {var x} {ty a})"
+    """Derivations are walked with explicit stacks, so 1000 nested
+    weakenings check and run. Formulas still recurse once per level: a
+    type under 3000 `!` is an input error, not a traceback."""
+    weakenings = "(A {var x} {ty a})"
     for i in range(1000):
-        text = f"(W {{var y{i}}} {{ty a}} {text})"
-    path = tmp_path / "deep.eal"
-    path.write_text(text)
+        weakenings = f"(W {{var y{i}}} {{ty a}} {weakenings})"
+    bangs = "(A {var x} {ty " + "!" * 3000 + "a})"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    for command in ("check", "run"):
-        proc = subprocess.run([sys.executable, "-m", "lamping.cli", command, str(path)],
-                              capture_output=True, text=True, env=env)
-        assert (proc.returncode, proc.stdout) == (2, ""), command
-        assert proc.stderr.startswith("error: "), command
-        assert "nested too deeply" in proc.stderr, command
-        assert "Traceback" not in proc.stderr, command
+    for name, text in (("weakenings", weakenings), ("bangs", bangs)):
+        path = tmp_path / f"{name}.eal"
+        path.write_text(text)
+        for command in ("check", "run"):
+            proc = subprocess.run([sys.executable, "-m", "lamping.cli", command, str(path)],
+                                  capture_output=True, text=True, env=env)
+            assert "Traceback" not in proc.stderr, (name, command)
+            if name == "weakenings":
+                assert (proc.returncode, proc.stderr) == (0, ""), command
+                if command == "check":
+                    assert proc.stdout.startswith("x:a, y0:a, y1:a, ")
+                else:
+                    assert "verdict pass" in proc.stdout.splitlines()
+            else:
+                assert (proc.returncode, proc.stdout) == (2, ""), command
+                assert proc.stderr.startswith(f"error: {path}: "), command
+                assert "nested too deeply" in proc.stderr, command
 
 
 @pytest.mark.parametrize("strategy", ["sg", "pn-mlbl"])
@@ -282,13 +292,8 @@ def test_readback_has_no_abstraction_cap(tmp_path, capsys, n):
     for i in range(n, 0, -1):
         d = lam(f"x{i}", d)
     assert run_pipeline(d).verdict
-    # the same derivation as flat text: show_derivation recurses once per
-    # nested rule and reaches the recursion limit at n = 200
-    text = ("".join(f"(RLolli {{var x{i}}} " for i in range(1, n + 1))
-            + "".join(f"(W {{var x{i}}} {{ty a}} " for i in range(n, 1, -1))
-            + "(A {var x1} {ty a})" + ")" * (2 * n - 1))
     path = tmp_path / f"abs{n}.eal"
-    path.write_text(text)
+    path.write_text(show_derivation(d))
     code, out, _ = _run(["run", str(path)], capsys)
     assert code == 0
     assert "verdict pass" in out.splitlines()

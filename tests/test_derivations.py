@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -299,14 +300,36 @@ def test_checking_substitutes_nothing(monkeypatch):
     assert not calls
 
 
-def test_church_200_checks_and_builds_at_the_default_recursion_limit():
-    d = _church(200)
-    t = check_derivation(d).subject
+def test_church_1000_checks_builds_prints_and_parses_at_the_default_recursion_limit():
+    """Church 1000 is about 2000 rules deep, past CPython's default limit
+    of 1000 frames: checking, building, printing, parsing, comparing and
+    the EAL image walk it with explicit stacks."""
+    n = 1000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        d = _church(n)
+        t = check_derivation(d).subject
+        ann = check_annotated(d)
+        net = build_proofnet(d)
+        text = show_derivation(d)
+        back = parse_derivation(text)
+        same = back == d
+        wrong = parse_derivation(text.replace("(A {var z} {ty a})", "(A {var z} {ty b})"))
+        differ = wrong != d
+        image = to_eal_image(d)
+        church_identity(300)  # dapp checks Church 300 while it is built
+    finally:
+        sys.setrecursionlimit(limit)
     assert isinstance(t, Abs) and isinstance(t.body, Abs)
     t = t.body.body
-    for _ in range(200):
+    for _ in range(n):
         assert isinstance(t, App) and t.fun == Var("s")
         t = t.arg
     assert t == Var("z")
-    assert check_annotated(d)[()].ctx == ()
-    assert build_proofnet(d).size() > 0
+    assert ann[()].ctx == ()
+    assert max(map(len, ann)) > 2 * n
+    assert net.size() > 0
+    assert back is not d and same and hash(back) == hash(d)
+    assert text.count("(A {var z} {ty a})") == 1 and differ
+    assert image == d  # an EAL derivation is its own image

@@ -4,9 +4,9 @@ import pytest
 
 import lamping.readback
 from lamping.corpus import A, CORPUS, _church, build
-from lamping.derivations import ax, dapp
-from lamping.formulas import Bang, Lolli
-from lamping.pipeline import prepared_graph
+from lamping.derivations import ax, dapp, lam, llolli
+from lamping.formulas import Atom, Bang, Lolli
+from lamping.pipeline import prepared_graph, run_pipeline
 from lamping.proofnets import normalize_mlbl
 from lamping.readback import ReadbackError, _classify, psi_query, readback_term
 from lamping.semantics import Reached, Stuck, empty_ctx, run_token
@@ -33,6 +33,18 @@ def test_identity_readback(corpus_graphs):
 def test_running_example_readback(corpus_graphs):
     lab, g = _normalized(corpus_graphs, "running_example")
     assert alpha_eq(readback_term(g, lab), parse_term("f (\\z.g z) (\\z.g z)"))
+
+
+@pytest.mark.parametrize("strategy", ["sg", "pn-mlbl"])
+def test_readback_keeps_argument_order(strategy):
+    """f (\\u.u) (\\v.v) y: the arguments come back in place, and the
+    bound names in the order the arguments are read."""
+    d = llolli("h", "r", ax("y", Atom("b")), ax("r", Atom("c")))
+    d = llolli("g", "h", lam("v", ax("v", A)), d)
+    d = llolli("f", "g", lam("u", ax("u", A)), d)
+    r = run_pipeline(d, strategy=strategy)
+    assert r.verdict
+    assert show_term(r.readback) == "f (\\x0.x0) (\\x1.x1) y"
 
 
 def test_psi_walkthrough_on_normal_form(corpus_graphs):

@@ -251,7 +251,8 @@ def _s_power_term(n, zero="Z"):
 
 def test_term_utilities_walk_deep_terms_at_the_default_recursion_limit():
     """S^1024 Z, the tower 10 normal form, and 1024 nested abstractions
-    are deeper than CPython's default limit of 1000 frames."""
+    are deeper than CPython's default limit of 1000 frames; each is also
+    printed."""
     deep = _s_power_term(1024)
 
     def nest(stem, inner):
@@ -274,6 +275,10 @@ def test_term_utilities_walk_deep_terms_at_the_default_recursion_limit():
         assert term_size(nest("x", "z")) == 3 * 1024 + 1
         assert alpha_eq(nest("x", "x0"), nest("y", "y0"))
         assert not alpha_eq(nest("x", "x1"), nest("y", "y0"))
+        assert show_term(deep) == "S (" * 1023 + "S Z" + ")" * 1023
+        assert show_term(nest("x", "z")) == (
+            "".join(f"\\x{i % 3}.x{i % 3} (" for i in range(1023, 0, -1))
+            + "\\x0.x0 z" + ")" * 1023)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -350,8 +355,25 @@ def _terms(depth):
     )
 
 
+def _reference_show_term(t):
+    """A recursive printer: the reference for show_term's text, byte for
+    byte."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        return f"\\{t.binder}.{_reference_show_term(t.body)}"
+    fun = _reference_show_term(t.fun)
+    if isinstance(t.fun, Abs):
+        fun = f"({fun})"
+    arg = _reference_show_term(t.arg)
+    if isinstance(t.arg, (Abs, App)):
+        arg = f"({arg})"
+    return f"{fun} {arg}"
+
+
 @given(_terms(4))
 def test_print_parse_roundtrip(t):
+    assert show_term(t) == _reference_show_term(t)
     assert alpha_eq(parse_term(show_term(t)), t)
 
 

@@ -7,6 +7,7 @@ level-by-level proof-net route takes the pinned counts below.
 """
 
 import copy
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ import lamping.sharegraphs
 from lamping.corpus import CORPUS, _church, build
 from lamping.derivations import ax, bang, cut, dapp, forall_l, forall_r, lam, llolli
 from lamping.formulas import Atom, Bang, Forall, Lolli
-from lamping.pipeline import prepared_graph, run_pipeline
+from lamping.pipeline import format_report, prepared_graph, run_pipeline
 from lamping.proofnets import ProofNet, build_proofnet, net_depth, normalize_mlbl
 from lamping.sharegraphs import normalize_sg
 from lamping.terms import App, FuelExhausted, Var
@@ -64,6 +65,25 @@ def test_tower_counts_and_readback(k):
     for r in (sg, pn):
         assert r.verdict
         assert _is_s_power(r.readback, 2 ** k)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_tower_runs_end_to_end_at_the_default_recursion_limit(k):
+    """S^(2^k) Z is deeper than CPython's default limit of 1000 frames:
+    readback, the oracle, the comparison and the report walk it with
+    explicit stacks."""
+    n = 2 ** k
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        r = run_pipeline(tower(k), "eal", "dlt", "sg")
+        assert r.verdict
+        assert _is_s_power(r.readback, n)
+        report = format_report(r).splitlines()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "verdict pass" in report
+    assert f"readback {'S (' * (n - 1)}S Z{')' * (n - 1)}" in report
 
 
 def _check_box_tree(net):
