@@ -12,7 +12,8 @@ contraction and left-arrow rules make, and renames a binder exactly
 where substituting rule by rule would rename it.
 
 Passes over every node go premises first, through `_premises_first`
-and the fold over it; the printer, the parser and `==` keep their own
+and the fold over it, or through the path-free `_post_order` where no
+error needs a path; the printer, the parser and `==` keep their own
 explicit stacks. No walk recurses, so a derivation's depth is limited
 by memory, not by Python's recursion limit.
 """
@@ -366,9 +367,21 @@ def _node_subjects(d: Derivation) -> dict[int, Term]:
     node reuses a premise's subject wherever no substitution is pending."""
     fv = _subject_free_vars(d)
     built: dict[int, Term] = {}
-    for n, _ in _premises_first(d):
+    for n in _post_order(d):
         built[id(n)] = _subject(n, fv, built)
     return built
+
+
+def _post_order(d: Derivation) -> list[Derivation]:
+    """Every node of d in the order of `_premises_first`, without paths,
+    for the walks that never report where they are."""
+    order, stack = [], [d]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        stack.extend(n.premises)
+    order.reverse()
+    return order
 
 
 def _premises_first(d: Derivation) -> list[tuple[Derivation, tuple[int, ...]]]:
@@ -406,7 +419,7 @@ def _subject_free_vars(d: Derivation) -> dict[int, frozenset[str]]:
     """The free variables of every node's subject, keyed by id(node),
     computed from the rules without building a term."""
     fv: dict[int, frozenset[str]] = {}
-    for n, _ in _premises_first(d):
+    for n in _post_order(d):
         rule = n.rule
         if rule == "A":
             s = frozenset((n.get("var"),))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import semantics
-from .semantics import Ctx, Reached, Stuck, empty_ctx, run_token
+from .semantics import Ctx, Reached, Stuck, empty_ctx, run_token, token_moves
 from .terms import Abs, App, FuelExhausted, Term, Var
 
 __all__ = ["PsiAnswer", "ReadbackError", "psi_query", "readback_term"]
@@ -42,19 +42,22 @@ def _with_mult(ctx: Ctx, mult: tuple) -> Ctx:
     return ctx[:-1] + (mult,)
 
 
-def psi_query(structure, labelling, anchor: Anchor) -> PsiAnswer:
+def psi_query(structure, labelling, anchor: Anchor, moves: dict | None = None) -> PsiAnswer:
     """Expand one head subterm by probing its anchor.
 
     At each pop of an empty multiplicative stack the walk resumes there
     with the stack (q,), one more abstraction over the head. A run with
     q^n appended below the anchor's stack pops those q's at the same
     places, so this lands as that run does for the least n that lands.
-    Any other stuck run has no readback.
+    Any other stuck run has no readback. `moves` is
+    `semantics.token_moves(structure, labelling)`, built here if absent.
     """
+    if moves is None:
+        moves = token_moves(structure, labelling)
     budget = semantics.WALK_BUDGET
     start, ctx = anchor
     for n in range(budget + 1):
-        res = run_token(structure, labelling, start, ctx, budget)
+        res = run_token(structure, labelling, start, ctx, budget, moves=moves)
         if isinstance(res, Reached):
             return _classify(res, n)
         if not isinstance(res, Stuck):
@@ -137,6 +140,7 @@ def readback_term(structure, labelling) -> Term:
     Free ports keep their names; bound variables are x0, x1, ... in
     traversal order (skipping clashes with free-port names).
     """
+    moves = token_moves(structure, labelling)
     taken = set(structure.conclusions)
     counter = [0]
 
@@ -169,7 +173,7 @@ def readback_term(structure, labelling) -> Term:
             out.append(head)
             continue
         anchor = item[1]
-        ans = psi_query(structure, labelling, anchor)
+        ans = psi_query(structure, labelling, anchor, moves)
         binders = [fresh() for _ in range(ans.n)]
         memo.append((anchor, binders))
         if ans.head[0] == "free":

@@ -53,6 +53,43 @@ def test_check_output_matches_pinned_digest(capsys, name, command):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SHA256[f"{name}/{command}"]
 
 
+# sha256 of the exit code and stdout of `run` (default probe depth) and of
+# `trace` (first conclusion, all-empty context), keyed file/command/options
+CLI_SHA256 = json.loads((Path(__file__).parent / "cli_sha256.json").read_text())
+
+
+def cli_pin_runs():
+    """(key, argv) for every pinned `run` report and `trace` transcript."""
+    from lamping.derivations import parse_derivation
+    from lamping.pipeline import prepared_graph
+    for name in CORPUS_FILES:
+        path = ROOT / "corpus" / name
+        mode = path.suffix[1:]
+        base = [str(path), "--mode", mode]
+        for translation in ("lt", "dlt"):
+            for strategy in ("sg", "pn-mlbl"):
+                yield (f"{name}/run/{translation}/{strategy}",
+                       ["run", *base, "--translation", translation, "--strategy", strategy])
+            d = parse_derivation(path.read_text())
+            net, lab, graph = prepared_graph(d, mode, translation)
+            for on, structure in (("graph", graph), ("net", net)):
+                yield (f"{name}/trace/{translation}/{on}",
+                       ["trace", *base, "--translation", translation, "--on", on,
+                        "--edge", structure.conclusions[0], "--ctx", "|" * lab.k])
+
+
+def cli_digest(code, out):
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+def test_run_and_trace_outputs_match_pinned_digests(capsys):
+    got = {}
+    for key, argv in cli_pin_runs():
+        code, out, _ = _run(argv, capsys)
+        got[key] = cli_digest(code, out)
+    assert got == CLI_SHA256
+
+
 def test_run_report_and_exit_code(capsys):
     code, out, _ = _run(["run", RUNNING, "--translation", "dlt"], capsys)
     assert code == 0

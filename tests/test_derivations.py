@@ -242,6 +242,15 @@ def test_subject_is_the_rule_by_rule_subject(name):
                                                       for path in sorted(expected)]
 
 
+def test_post_order_is_the_premises_first_order_without_paths():
+    from lamping.derivations import _post_order, _premises_first
+    for name, (_, d) in REFERENCE_INPUTS.items():
+        nodes = [n for n, _ in _premises_first(d)]
+        order = _post_order(d)
+        assert len(order) == len(nodes), name
+        assert all(a is b for a, b in zip(order, nodes)), name
+
+
 def _f_applied_to(x1: str, x2: str):
     """f:!a -o !a -o b, x1:!a, x2:!a |- f x1 x2 : b."""
     body = llolli("h", "u", ax(x2, Bang(A)), ax("u", B))

@@ -209,8 +209,9 @@ def test_one_walk_probe_matches_the_rerun_reference(monkeypatch):
     landing included."""
     answers = []
 
-    def compared(structure, labelling, anchor):
-        got = psi_query(structure, labelling, anchor)
+    def compared(structure, labelling, anchor, moves):
+        # readback_term hands every query its move table
+        got = psi_query(structure, labelling, anchor, moves)
         assert got == reference_psi_query(structure, labelling, anchor), anchor
         answers.append(got)
         return got

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 
 import pytest
 
@@ -8,12 +9,14 @@ from lamping.pipeline import prepared_graph
 from lamping.proofnets import find_cuts, reduce_step_pn
 from lamping.readback import readback_term
 from lamping.semantics import (
-    Reached, Stuck, TokenState, check_acyclicity, minimal_contexts,
-    parse_ctx, run_token, semantics_table, step_token, weight,
+    Reached, Stuck, TokenState, check_acyclicity, empty_ctx, minimal_contexts,
+    parse_ctx, run_token, semantics_table, step_token, token_moves, weight,
 )
 from lamping.sharegraphs import SharingGraph, find_cuts_sg, normalize_sg, reduce_step_sg
 from lamping.terms import FuelExhausted
 from lamping.translate import Labelling, induced_labelling
+from test_tower import tower
+from test_weight_golden import _structures, church_identity
 
 # The five conclusion-to-conclusion runs listed for the running example's
 # graph; e names the main conclusion.
@@ -272,14 +275,13 @@ def all_stacks(maxlen):
 
 
 def brute_minimal_contexts(g, lab, nid, maxlen=6):
-    from lamping.semantics import _exp_index
     role = g.machine_role(nid)
     k = lab.k
     if role[0] == "none":
         pinned = None
         start = g.wires[("n", nid, g.ports(nid)[0])]
     else:
-        pinned = k if role[0] == "mult" else _exp_index(g, lab, nid)
+        pinned = k if role[0] == "mult" else token_moves(g, lab)[("n", nid, role[1])][1]
         start = g.wires[("n", nid, role[1])]
     stacks = all_stacks(maxlen)
     slots = [[()] if s == pinned else stacks for s in range(k + 1)]
@@ -322,3 +324,186 @@ def test_walk_budget_run_out_raises(corpus_graphs, monkeypatch):
                 lambda: readback_term(normal, lab)):
         with pytest.raises(FuelExhausted, match="exceeded 3 token steps"):
             run()
+
+
+# -- the move table against the role-based machine it replaced ---------------
+
+def reference_step_token(structure, labelling, state):
+    """The transition as it was before the move table: the node's role,
+    its fan index and the next end, looked up at every step."""
+    target, ctx = state.target, state.ctx
+    if target[0] == "c":
+        return Reached(target[1], ctx)
+    nid, port = target[1], target[2]
+    role = structure.machine_role(nid)
+    if role[0] == "none":
+        return Stuck(target, "weakening", ctx)
+    if role[0] == "id":
+        out = role[2] if port == role[1] else role[1]
+        return TokenState(structure.wires[("n", nid, out)], ctx)
+    _, pr, p_port, q_port = role
+    k = len(ctx) - 1
+    slot = k if role[0] == "mult" else _reference_exp_index(structure, labelling, nid)
+    if port == pr:
+        stack = ctx[slot]
+        if not stack:
+            reason = "empty-mult" if slot == k else "empty-exp"
+            return Stuck(target, reason, ctx, slot)
+        sym, rest = stack[0], stack[1:]
+        out = p_port if sym == "p" else q_port
+        new_ctx = ctx[:slot] + (rest,) + ctx[slot + 1:]
+        return TokenState(structure.wires[("n", nid, out)], new_ctx)
+    sym = "p" if port == p_port else "q"
+    new_ctx = ctx[:slot] + ((sym,) + ctx[slot],) + ctx[slot + 1:]
+    return TokenState(structure.wires[("n", nid, pr)], new_ctx)
+
+
+def _reference_exp_index(structure, labelling, nid):
+    idx = getattr(structure, "index", None)
+    if idx is not None and nid in idx:
+        return idx[nid]
+    return labelling.mapping[nid]
+
+
+def reference_lazy_explore(structure, labelling, start, k, *, pinned, bound,
+                           fuel, detect_cycles=False):
+    """The explorer as it was before the move table: every step copies
+    the whole context tuple, so no two branches can share a stack."""
+    from lamping.semantics import _comparable, _Terminal, empty_ctx
+    out = []
+    stack = [(start, empty_ctx(k), empty_ctx(k), None, 0)]
+    while stack:
+        target, contents, assumed, visits, steps = stack.pop()
+        while True:
+            steps += 1
+            if steps > fuel:
+                out.append(_Terminal("fuel", target, assumed))
+                break
+            if detect_cycles:
+                v = visits
+                hit = False
+                while v is not None:
+                    vt, vctx, vass, v = v
+                    then = tuple(c + assumed[i][len(vass[i]):]
+                                 for i, c in enumerate(vctx))
+                    if vt == target and _comparable(then, contents):
+                        out.append(_Terminal("cycle", target, assumed, contents))
+                        hit = True
+                        break
+                if hit:
+                    break
+                visits = (target, contents, assumed, visits)
+            if target[0] == "c":
+                out.append(_Terminal("land", target[1], assumed, contents))
+                break
+            nid, port = target[1], target[2]
+            role = structure.machine_role(nid)
+            if role[0] == "none":
+                out.append(_Terminal("era", nid, assumed, contents))
+                break
+            if role[0] == "id":
+                nxt = role[2] if port == role[1] else role[1]
+                target = structure.wires[("n", nid, nxt)]
+                continue
+            _, pr, p_port, q_port = role
+            slot = k if role[0] == "mult" else _reference_exp_index(structure, labelling, nid)
+            if port == pr:
+                if contents[slot]:
+                    sym, rest = contents[slot][0], contents[slot][1:]
+                    contents = contents[:slot] + (rest,) + contents[slot + 1:]
+                    target = structure.wires[("n", nid, p_port if sym == "p" else q_port)]
+                    continue
+                if slot == pinned:
+                    out.append(_Terminal("pinned", nid, assumed, contents))
+                    break
+                if bound is not None and len(assumed[slot]) >= bound:
+                    break
+                for sym in ("q", "p"):
+                    branch_assumed = assumed[:slot] + (assumed[slot] + (sym,),) + assumed[slot + 1:]
+                    nxt = structure.wires[("n", nid, p_port if sym == "p" else q_port)]
+                    stack.append((nxt, contents, branch_assumed, visits, steps))
+                break
+            sym = "p" if port == p_port else "q"
+            contents = contents[:slot] + ((sym,) + contents[slot],) + contents[slot + 1:]
+            target = structure.wires[("n", nid, pr)]
+    return out
+
+
+def _draws():
+    """(name, mode, derivation) for seeded random draws."""
+    from test_randomized import Gen, LalGen
+    for seed in range(20):
+        yield f"gen{seed}", "eal", Gen(seed).grow()
+        yield f"lalgen{seed}", "lal", LalGen(seed).grow()
+
+
+def _random_ctx(rng, k):
+    return tuple(tuple(rng.choice("pq") for _ in range(rng.randint(0, 3)))
+                 for _ in range(k + 1))
+
+
+def test_table_step_matches_the_role_based_step(corpus):
+    """From every wired end, under seeded contexts with stacks of at
+    most 3 symbols, one step gives the same state, landing or stop,
+    reason and slot included."""
+    rng = random.Random(12)
+    inputs = [(name, mode, d) for name, (mode, d) in sorted(corpus.items())]
+    compared = 0
+    for name, mode, d in inputs + list(_draws()):
+        for translation in ("lt", "dlt"):
+            for kind, s, lab in _structures(mode, d, translation):
+                moves = token_moves(s, lab)
+                assert moves.keys() == s.wires.keys()
+                for end in s.wires:
+                    for ctx in [empty_ctx(lab.k)] + [_random_ctx(rng, lab.k) for _ in range(4)]:
+                        state = TokenState(end, ctx)
+                        want = reference_step_token(s, lab, state)
+                        got = step_token(s, lab, state, moves)
+                        assert type(got) is type(want), (name, kind, end, ctx)
+                        assert got == want, (name, kind, end, ctx)
+                        compared += 1
+    assert compared > 10000
+
+
+def _explorer_inputs(corpus):
+    """(name, structure, labelling, probe cycles) for the explorer
+    comparison; the cycle probe is quadratic in its fuel, so it runs on
+    the small inputs only."""
+    small = [(name, mode, d) for name, (mode, d) in sorted(corpus.items())]
+    small += list(_draws())
+    large = [(f"church_identity{n}", "eal", church_identity(n)) for n in (16, 48)]
+    large += [(f"tower{k}", "eal", tower(k)) for k in range(1, 7)]
+    for inputs, cycles in ((small, True), (large, False)):
+        for name, mode, d in inputs:
+            for translation in ("lt", "dlt"):
+                for kind, s, lab in _structures(mode, d, translation):
+                    yield f"{name}/{translation}/{kind}", s, lab, cycles
+
+
+def test_explorer_matches_the_tuple_copying_reference(corpus, monkeypatch):
+    """Every walk of the weight (the B/P/E sets of every node), of the
+    depth-4 table and of the cycle probe ends in the same terminals, in
+    the same order, with the same assumed and landing contexts, as the
+    explorer that copied every context. Two forks that shared a mutated
+    stack list would disagree here."""
+    explore = lamping.semantics._lazy_explore
+    current = {}
+    walks = []
+
+    def compared(moves, start, k, *, pinned, **kw):
+        got = explore(moves, start, k, pinned=pinned, **kw)
+        # the move table names the multiplicative slot -1, the reference k
+        want = reference_lazy_explore(current["s"], current["lab"], start, k,
+                                      pinned=k if pinned == -1 else pinned, **kw)
+        assert got == want, (current["name"], start, kw)
+        walks.append(len(got))
+        return got
+
+    monkeypatch.setattr(lamping.semantics, "_lazy_explore", compared)
+    for name, s, lab, cycles in _explorer_inputs(corpus):
+        current.update(name=name, s=s, lab=lab)
+        weight(s, lab)
+        semantics_table(s, lab, 4)
+        if cycles:
+            check_acyclicity(s, lab)
+    assert len(walks) > 5000 and max(walks) > 10
