@@ -63,7 +63,7 @@ def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
     oracle = beta_normalize(judgement.subject)
     net = build_proofnet(d, mode)
     pn_nodes = net.size()
-    pn_edges = len(net.edges())
+    pn_edges = len(net.wires) // 2
     pn_depth = net_depth(net)
     lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
     pn_steps = 0

@@ -7,10 +7,12 @@ lists its ports with the principal one first; kinds in `NO_PRINCIPAL`
 have none. Rewriting only ever fires on a wire joining two principal
 ports; those wires are the graph's cuts. `link` and `unlink` are the only
 writers of the wiring, and they keep the set of cuts up to date as they
-go, so finding the cuts never scans the wires. `ROLES` says how the
-token machine crosses each kind: `mult` and `exp` nodes push or pop one
-symbol on the multiplicative or on an exponential stack, `id` nodes pass
-the token through unchanged, and `none` nodes stop it.
+go, so callers read `cuts` directly and never scan the wires. The rewrite
+primitives are shared too: `splice`, `remove_node`, and `annihilate`, the
+one interaction rule on a cut. `ROLES` says how the token machine crosses
+each kind: `mult` and `exp` nodes push or pop one symbol on the
+multiplicative or on an exponential stack, `id` nodes pass the token
+through unchanged, and `none` nodes stop it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-__all__ = ["End", "PortGraph", "is_cut", "principal_pairs", "to_dot"]
+__all__ = ["End", "PortGraph", "to_dot"]
 
 End = tuple  # ("n", node_id, port) | ("c", label)
 
@@ -73,6 +75,27 @@ class PortGraph:
         self.cuts.discard((a, b) if a <= b else (b, a))
         return b
 
+    def splice(self, a: End, b: End) -> None:
+        """Remove the ends a and b, wiring their partners to each other;
+        when a and b are wired to each other, the pair just vanishes."""
+        pa = self.unlink(a)
+        if pa != b:
+            self.link(pa, self.unlink(b))
+
+    def remove_node(self, nid: int) -> None:
+        """Drop an unwired node; subclasses also drop their entries for it."""
+        del self.nodes[nid]
+
+    def annihilate(self, cut: tuple[End, End]) -> None:
+        """Fire a cut by annihilation: unlink it, splice the two nodes'
+        auxiliary ports pairwise in `PORTS` order, and remove both nodes."""
+        (_, na, _), (_, nb, _) = cut
+        self.unlink(cut[0])
+        for pa, pb in zip(self.ports(na)[1:], self.ports(nb)[1:]):
+            self.splice(("n", na, pa), ("n", nb, pb))
+        self.remove_node(na)
+        self.remove_node(nb)
+
     def ports(self, nid: int) -> tuple[str, ...]:
         return self.PORTS[self.nodes[nid]]
 
@@ -92,18 +115,6 @@ class PortGraph:
     def machine_role(self, nid: int) -> tuple:
         """("mult" | "exp", principal, p-port, q-port), ("id", out, in) or ("none",)."""
         return self._roles[self.nodes[nid]]
-
-
-def is_cut(g: PortGraph, edge: tuple[End, End]) -> bool:
-    """Whether `edge`, as (lower end, higher end), wires two principal ports."""
-    return edge in g.cuts
-
-
-def principal_pairs(g: PortGraph) -> set[tuple[End, End]]:
-    """The wires joining two principal ports, as (lower end, higher end),
-    in no particular order: the live set `link` and `unlink` keep, which
-    callers must not change."""
-    return g.cuts
 
 
 def to_dot(g: PortGraph, name: str, shape: str, label: Callable[[int], str],

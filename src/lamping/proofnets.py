@@ -5,6 +5,8 @@ is keyed by its principal door and keeps its auxiliary doors and the
 principal door of the box around it, and `box_of` maps every node inside
 a box to its innermost box. A node's depth walks the parent links; the
 contraction step derives a box's contents from the map to copy them.
+Lolli, forall, mu and merge cuts fire through the port-graph core's
+`annihilate`; only contraction, which copies a box, is written here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .derivations import Derivation, check_annotated, fold_derivation
-from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
+from .portgraph import End, PortGraph, to_dot
 from .terms import FuelExhausted
 
 __all__ = [
@@ -76,12 +78,14 @@ class ProofNet(PortGraph):
         self.link(new_end, self.unlink(old_end))
 
     def splice(self, a: End, b: End) -> None:
-        """Remove the two ends a and b, joining their partners directly."""
-        pa = self.unlink(a)
-        if pa == b:
+        """The core's splice, refusing two ends wired to each other."""
+        if self.wires[a] == b:
             raise MalformedNet("splice would create a closed loop")
-        pb = self.unlink(b)
-        self.link(pa, pb)
+        super().splice(a, b)
+
+    def remove_node(self, nid: int) -> None:
+        super().remove_node(nid)
+        self.box_of.pop(nid, None)
 
     def node_depth(self, nid: int) -> int:
         depth, b = 0, self.box_of.get(nid)
@@ -119,7 +123,7 @@ def edge_depth(net: ProofNet, edge: tuple[End, End]) -> int:
 
 
 def net_depth(net: ProofNet) -> int:
-    return max((edge_depth(net, e) for e in net.edges()), default=0)
+    return max((edge_depth(net, w) for w in net.wires.items() if w[0] < w[1]), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
     depth stays right, since no step changes the depth of a wire it
     leaves in place.
     """
-    live, depth = principal_pairs(net), net.cut_depth
+    live, depth = net.cuts, net.cut_depth
     for c in depth.keys() - live:
         del depth[c]
     for c in live - depth.keys():
@@ -270,66 +274,39 @@ def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
     return [c for _, c in sorted((d, c) for c, d in depth.items())]
 
 
+# the kinds a cut may join, in rule orientation; contraction only meets
+# !-boxes, and box modalities must agree with the absorbing door's
+_CUT_KINDS = {
+    ("RLolli", "LLolli"): "lolli",
+    ("RForall", "LForall"): "forall",
+    ("RMu", "LMu"): "mu",
+    ("X", "RBang"): "contract",
+    ("RBang", "LBang"): "merge",
+    ("RPara", "LPara"): "merge",
+}
+
+
 def _cut_kind(net: ProofNet, cut: tuple[End, End]) -> tuple[str, int, int]:
     """Classify a cut; returns (kind, node_a, node_b) in rule orientation."""
     (_, na, _), (_, nb, _) = cut
     ka, kb = net.nodes[na], net.nodes[nb]
-    pairs = {
-        ("RLolli", "LLolli"): "lolli",
-        ("RForall", "LForall"): "forall",
-        ("RMu", "LMu"): "mu",
-    }
-    for (k1, k2), kind in pairs.items():
-        if (ka, kb) == (k1, k2):
-            return kind, na, nb
-        if (ka, kb) == (k2, k1):
-            return kind, nb, na
-    # contraction only meets !-boxes, and box modalities must agree with
-    # the absorbing door's
-    if ka == "X" and kb == "RBang":
-        return "contract", na, nb
-    if kb == "X" and ka == "RBang":
-        return "contract", nb, na
-    for (k1, k2) in (("RBang", "LBang"), ("RPara", "LPara")):
-        if (ka, kb) == (k1, k2):
-            return "merge", na, nb
-        if (ka, kb) == (k2, k1):
-            return "merge", nb, na
+    if (ka, kb) in _CUT_KINDS:
+        return _CUT_KINDS[ka, kb], na, nb
+    if (kb, ka) in _CUT_KINDS:
+        return _CUT_KINDS[kb, ka], nb, na
     raise MalformedNet(f"unmatched cut pair {ka}/{kb}")
-
-
-def _remove_node(net: ProofNet, nid: int) -> None:
-    del net.nodes[nid]
-    net.box_of.pop(nid, None)
 
 
 def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
     """Fire one cut in place. Depths of surviving edges are unchanged."""
-    if not is_cut(net, cut):
+    if cut not in net.cuts:
         raise MalformedNet(f"not a cut: {cut}")
     kind, na, nb = _cut_kind(net, cut)
-
-    if kind == "lolli":
-        net.splice(("n", na, "bod"), ("n", nb, "res"))
-        net.splice(("n", na, "var"), ("n", nb, "arg"))
-        net.unlink(("n", na, "pr"))
-        _remove_node(net, na)
-        _remove_node(net, nb)
-        return StepReport("lolli", removed=[na, nb])
-
-    if kind in ("forall", "mu"):
-        net.unlink(("n", na, "out"))
-        net.splice(("n", na, "in"), ("n", nb, "in"))
-        _remove_node(net, na)
-        _remove_node(net, nb)
-        return StepReport(kind, removed=[na, nb])
 
     if kind == "merge":
         # box of na enters the box owning aux door nb
         inner_box = net.boxes.pop(na)
         host = net.box_of[nb]
-        net.unlink(("n", na, "out"))
-        net.splice(("n", na, "in"), ("n", nb, "in"))
         for n, b in net.box_of.items():
             if b == na:
                 net.box_of[n] = host
@@ -338,11 +315,10 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
                 b.parent = host
         host_box = net.boxes[host]
         host_box.aux_doors = [x for x in host_box.aux_doors if x != nb] + inner_box.aux_doors
-        _remove_node(net, na)
-        _remove_node(net, nb)
-        return StepReport("merge", removed=[na, nb])
+    if kind != "contract":
+        net.annihilate(cut)
+        return StepReport(kind, removed=[na, nb])
 
-    assert kind == "contract"
     x, r = na, nb
     box = net.boxes[r]
     members = sorted(net.box_contents(r))
@@ -396,8 +372,8 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         net.unlink(end)
     for old in members:
         net.boxes.pop(old, None)
-        _remove_node(net, old)
-    _remove_node(net, x)
+        net.remove_node(old)
+    net.remove_node(x)
     return StepReport("contract", removed=removed,
                       copied={old: (copies[0][old], copies[1][old]) for old in copies[0]},
                       fresh_contractions=fresh, resolved_contraction=x)

@@ -4,14 +4,15 @@ Nodes are lambda, application, indexed fan-in, and eraser. The rewrite
 relation has five rules: lambda/app annihilation (beta), same-index fan
 annihilation, and three copy rules (fan against lambda, app, or a fan
 of a different index). Eraser cuts are inert: there are no garbage
-collection rules, and leaving garbage in place is harmless.
+collection rules, and leaving garbage in place is harmless. Both
+annihilations are the port-graph core's `annihilate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .portgraph import End, PortGraph, is_cut, principal_pairs, to_dot
+from .portgraph import End, PortGraph, to_dot
 from .terms import FuelExhausted
 
 __all__ = [
@@ -58,6 +59,10 @@ class SharingGraph(PortGraph):
             self.index[nid] = index
         return nid
 
+    def remove_node(self, nid: int) -> None:
+        super().remove_node(nid)
+        self.index.pop(nid, None)
+
     @property
     def conclusions(self) -> list[str]:
         return self.free_ports
@@ -67,9 +72,9 @@ class SharingGraph(PortGraph):
 # cuts and rewriting
 
 def find_cuts_sg(g: SharingGraph) -> list[tuple[End, End]]:
-    """All principal-principal edges, eraser cuts included, in a stable order."""
-    return sorted(principal_pairs(g),
-                  key=lambda e: (min(e[0][1], e[1][1]), max(e[0][1], e[1][1])))
+    """All principal-principal edges, eraser cuts included, by node ids:
+    every principal port is `pr`, so a cut's lower end is its lower node."""
+    return sorted(g.cuts)
 
 
 def _is_eraser_cut(g: SharingGraph, cut: tuple[End, End]) -> bool:
@@ -78,52 +83,24 @@ def _is_eraser_cut(g: SharingGraph, cut: tuple[End, End]) -> bool:
 
 def reduce_step_sg(g: SharingGraph, cut: tuple[End, End]) -> str:
     """Fire one cut in place; returns 'annihilation' or 'copy'."""
-    if not is_cut(g, cut):
+    if cut not in g.cuts:
         raise MalformedGraph(f"not a cut: {cut}")
     if _is_eraser_cut(g, cut):
         raise EraserCut(str(cut))
     na, nb = cut[0][1], cut[1][1]
     ka, kb = g.nodes[na], g.nodes[nb]
 
-    if {ka, kb} == {"lam", "app"}:
-        lam_, app_ = (na, nb) if ka == "lam" else (nb, na)
-        _splice(g, ("n", lam_, "bod"), ("n", app_, "res"))
-        _splice(g, ("n", lam_, "var"), ("n", app_, "arg"))
-        g.unlink(("n", lam_, "pr"))
-        _drop(g, lam_)
-        _drop(g, app_)
-        return "annihilation"
-
-    if ka == "fan" and kb == "fan" and g.index[na] == g.index[nb]:
-        _splice(g, ("n", na, "p"), ("n", nb, "p"))
-        _splice(g, ("n", na, "q"), ("n", nb, "q"))
-        g.unlink(("n", na, "pr"))
-        _drop(g, na)
-        _drop(g, nb)
+    # beta pairs lam var/bod with app arg/res; equal fans pair p/p and q/q
+    if {ka, kb} == {"lam", "app"} or ka == kb == "fan" and g.index[na] == g.index[nb]:
+        g.annihilate(cut)
         return "annihilation"
 
     if ka == "fan" or kb == "fan":
         fan, other = (na, nb) if ka == "fan" else (nb, na)
-        if g.nodes[other] == "fan" and g.index[fan] == g.index[other]:
-            raise MalformedGraph("unreachable")
         _copy_through(g, fan, other)
         return "copy"
 
     raise MalformedGraph(f"unmatched cut pair {ka}/{kb}")
-
-
-def _splice(g: SharingGraph, a: End, b: End) -> None:
-    pa = g.unlink(a)
-    if pa == b:
-        # the two aux ports were wired to each other; the pair vanishes
-        return
-    pb = g.unlink(b)
-    g.link(pa, pb)
-
-
-def _drop(g: SharingGraph, nid: int) -> None:
-    del g.nodes[nid]
-    g.index.pop(nid, None)
 
 
 def _copy_through(g: SharingGraph, fan: int, other: int) -> None:
@@ -152,20 +129,20 @@ def _copy_through(g: SharingGraph, fan: int, other: int) -> None:
         g.link(("n", nf, "pr"), target)
         g.link(("n", nf, "p"), ("n", copy_p, port))
         g.link(("n", nf, "q"), ("n", copy_q, port))
-    _drop(g, fan)
-    _drop(g, other)
+    g.remove_node(fan)
+    g.remove_node(other)
 
 
 def normalize_sg(g: SharingGraph, fuel: int = 10 ** 5) -> tuple[SharingGraph, SGStats]:
     """Reduce until only eraser cuts remain, lowest node-id cut first."""
     stats = SGStats(peak_size=g.size())
     while True:
-        cuts = [c for c in find_cuts_sg(g) if not _is_eraser_cut(g, c)]
-        if not cuts:
+        cut = next((c for c in find_cuts_sg(g) if not _is_eraser_cut(g, c)), None)
+        if cut is None:
             return g, stats
         if stats.steps == fuel:
             raise FuelExhausted(f"normalization exceeded {fuel} steps")
-        kind = reduce_step_sg(g, cuts[0])
+        kind = reduce_step_sg(g, cut)
         stats.steps += 1
         if kind == "annihilation":
             stats.annihilations += 1
@@ -174,16 +151,12 @@ def normalize_sg(g: SharingGraph, fuel: int = 10 ** 5) -> tuple[SharingGraph, SG
         stats.peak_size = max(stats.peak_size, g.size())
 
 
-def is_cut_free(g: SharingGraph) -> bool:
-    return not any(not _is_eraser_cut(g, c) for c in find_cuts_sg(g))
-
-
 # ---------------------------------------------------------------------------
 # paths
 
 def count_maximal_paths(g: SharingGraph, port: str, fuel: int = 10 ** 5) -> int:
     """Number of maximal direct paths leaving the named free port."""
-    if not is_cut_free(g):
+    if not all(_is_eraser_cut(g, c) for c in g.cuts):
         raise MalformedGraph("graph has cuts")
     count = 0
     budget = fuel

@@ -1,7 +1,7 @@
 """The cut set a port graph keeps in `link`/`unlink`, against a full scan.
 
-`reference_pairs` is the scan of every wire that `principal_pairs` ran
-before the set was kept. After every step of both engines the kept set
+`reference_pairs` scans every wire, as finding the cuts did before
+`link` and `unlink` kept the set. After every step of both engines the kept set
 must equal that scan, a deep copy must carry an equal set, and the cut
 the engine fires must be the one the scan picks under the engine's sort
 key, with every proof-net depth computed afresh.
@@ -9,14 +9,15 @@ key, with every proof-net depth computed afresh.
 
 import copy
 
+import pytest
+
 import lamping.proofnets
 import lamping.sharegraphs
 from lamping.corpus import CORPUS, build
 from lamping.pipeline import prepared_graph
-from lamping.portgraph import principal_pairs
-from lamping.proofnets import (_cut_kind, build_proofnet, edge_depth, is_special_box,
-                               normalize_mlbl)
-from lamping.sharegraphs import normalize_sg
+from lamping.proofnets import (MalformedNet, ProofNet, _cut_kind, build_proofnet, edge_depth,
+                               is_special_box, normalize_mlbl, reduce_step_pn)
+from lamping.sharegraphs import SharingGraph, normalize_sg, reduce_step_sg
 from test_randomized import Gen, LalGen
 from test_tower import PN_STEPS, tower
 from test_weight_golden import church_identity
@@ -42,7 +43,7 @@ def _inputs():
 def _agrees(g):
     """Asserts the kept cuts equal the scan; returns the scan."""
     scan = reference_pairs(g)
-    assert set(principal_pairs(g)) == set(scan)
+    assert g.cuts == set(scan)
     return scan
 
 
@@ -75,7 +76,7 @@ def _checked(monkeypatch, module, name, choice):
     def checked(g, cut):
         assert cut == choice(g, _agrees(g))
         report = step(g, cut)
-        assert set(principal_pairs(copy.deepcopy(g))) == set(_agrees(g))
+        assert copy.deepcopy(g).cuts == set(_agrees(g))
         fired.append(cut)
         return report
 
@@ -90,7 +91,7 @@ def test_kept_cuts_match_the_full_wire_scan(monkeypatch):
     for name, mode, d in _inputs():
         net, _, g = prepared_graph(d, mode)
         for structure in (net, g):
-            assert set(principal_pairs(copy.deepcopy(structure))) == set(_agrees(structure))
+            assert copy.deepcopy(structure).cuts == set(_agrees(structure))
         normalize_sg(g)
         normalize_mlbl(net)
         assert not _agrees(net), name
@@ -161,3 +162,25 @@ def test_cut_depths_follow_the_live_cuts(monkeypatch):
     assert normalize_mlbl(net)[1] == PN_STEPS[4]
     assert not depths
     assert len(measured) == len(set(measured)) > PN_STEPS[4]
+
+
+def _closed_beta(g, lam, app):
+    """A lam/app cut whose bod-res and var-arg wires join the two nodes
+    to each other; returns the cut."""
+    a, b = g.add_node(lam), g.add_node(app)
+    g.link(("n", a, "pr"), ("n", b, "pr"))
+    g.link(("n", a, "bod"), ("n", b, "res"))
+    g.link(("n", a, "var"), ("n", b, "arg"))
+    return (("n", a, "pr"), ("n", b, "pr"))
+
+
+def test_annihilating_a_closed_loop_leaves_nothing():
+    g = SharingGraph()
+    assert reduce_step_sg(g, _closed_beta(g, "lam", "app")) == "annihilation"
+    assert (g.nodes, g.wires, g.cuts) == ({}, {}, set())
+
+
+def test_a_closed_loop_in_a_net_is_malformed():
+    net = ProofNet()
+    with pytest.raises(MalformedNet, match="closed loop"):
+        reduce_step_pn(net, _closed_beta(net, "RLolli", "LLolli"))

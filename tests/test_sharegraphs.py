@@ -1,14 +1,22 @@
 import copy
+import random
 
 import pytest
 
+from lamping.corpus import CORPUS, build
 from lamping.derivations import ax, cut, lam, llolli
 from lamping.formulas import Atom
 from lamping.pipeline import prepared_graph
+from lamping.readback import readback_term
+from lamping.semantics import weight
 from lamping.sharegraphs import (
     EraserCut, SharingGraph, canonical_form, count_maximal_paths, find_cuts_sg,
     graph_dot, graph_dump, normalize_sg, reduce_step_sg,
 )
+from lamping.terms import alpha_eq
+from test_randomized import Gen, LalGen
+from test_tower import tower
+from test_weight_golden import church_identity
 
 A = Atom("a")
 
@@ -196,19 +204,55 @@ def test_size_ledger_per_step(corpus_graphs):
             assert delta == (-2 if kind == "annihilation" else 2), name
 
 
-def test_normal_forms_unique_across_orders(corpus_graphs):
-    for name, (_, _, _, g) in corpus_graphs.items():
-        g1 = copy.deepcopy(g)
-        g2 = copy.deepcopy(g)
-        normalize_sg(g1)
-        # a second deterministic order: highest-id cut first
-        while True:
-            cuts = [c for c in find_cuts_sg(g2)
-                    if g2.nodes[c[0][1]] != "era" and g2.nodes[c[1][1]] != "era"]
-            if not cuts:
-                break
-            reduce_step_sg(g2, cuts[-1])
-        assert canonical_form(g1) == canonical_form(g2), name
+def _any_order_inputs():
+    for name in sorted(CORPUS):
+        yield (name, *build(name))
+    for k in range(1, 7):
+        yield f"tower{k}", "eal", tower(k)
+    for n in (16, 48):
+        yield f"church_identity{n}", "eal", church_identity(n)
+    for seed in range(30):
+        yield f"gen{seed}", "eal", Gen(seed).grow()
+        yield f"lalgen{seed}", "lal", LalGen(seed).grow()
+
+
+def _normalize_in_order(g, pick):
+    """Fire the non-eraser cut `pick` chooses until none is left, checking
+    the size ledger at every step; returns (annihilations, copies)."""
+    counts = {"annihilation": 0, "copy": 0}
+    while True:
+        cuts = [c for c in find_cuts_sg(g)
+                if g.nodes[c[0][1]] != "era" and g.nodes[c[1][1]] != "era"]
+        if not cuts:
+            return counts["annihilation"], counts["copy"]
+        before = g.size()
+        kind = reduce_step_sg(g, pick(cuts))
+        assert g.size() - before == (-2 if kind == "annihilation" else 2)
+        counts[kind] += 1
+
+
+def test_any_order_reaches_the_same_normal_form():
+    """Eight orders per input, highest-id cut first and seven seeded
+    uniform draws among the live cuts, each agree with `normalize_sg` on
+    the step counts, the normal graph and its readback, and spend two
+    units of weight per copy."""
+    for name, mode, d in _any_order_inputs():
+        for translation in ("lt", "dlt"):
+            _, lab, g = prepared_graph(d, mode, translation)
+            w0 = weight(g, lab).total
+            ref, stats = normalize_sg(copy.deepcopy(g))
+            counts = (stats.annihilations, stats.copies)
+            form, term = canonical_form(ref), readback_term(ref, lab)
+            assert 2 * stats.copies == w0 - weight(ref, lab).total, name
+            rng = random.Random(f"{name}/{translation}")
+            for order in range(8):
+                pick = (lambda cuts: cuts[-1]) if order == 0 else rng.choice
+                h = copy.deepcopy(g)
+                where = (name, translation, order)
+                assert _normalize_in_order(h, pick) == counts, where
+                assert canonical_form(h) == form, where
+                assert alpha_eq(readback_term(h, lab), term), where
+                assert 2 * stats.copies == w0 - weight(h, lab).total, where
 
 
 def test_single_lambda_path_bound():
