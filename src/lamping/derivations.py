@@ -220,17 +220,22 @@ def check_annotated(d: Derivation, mode: str = EAL) -> dict[tuple[int, ...], Seq
 def _check_all(d: Derivation, mode: str,
                out: dict[tuple[int, ...], Sequent] | None) -> Sequent:
     """The one checker. Sequents are kept only when `out` is given:
-    keeping them all holds every node's context alive at once."""
+    keeping them all holds every node's context alive at once.
+
+    The fold hands each node's result to its parent alone, so a rule owns
+    its premises' context dicts and updates them in place; a context
+    becomes a `Sequent` tuple only at the conclusion and in `out`."""
     if mode not in (EAL, LAL):
         raise ValueError(f"mode must be 'eal' or 'lal', got {mode!r}")
 
-    def visit(n: Derivation, path: tuple[int, ...], subs: list[Sequent]) -> Sequent:
+    def visit(n: Derivation, path: tuple[int, ...], subs: list[_Open]) -> _Open:
         j = _apply_rule(n, mode, path, subs)
         if out is not None:
-            out[path] = j
+            out[path] = Sequent(tuple(j[0].items()), j[1])
         return j
 
-    return fold_derivation(d, visit)
+    ctx, ty = fold_derivation(d, visit)
+    return Sequent(tuple(ctx.items()), ty)
 
 
 def derivation_subject(d: Derivation, mode: str = EAL) -> Term:
@@ -456,24 +461,23 @@ def _field(d: Derivation, path: tuple[int, ...], key: str, kind: Any) -> Any:
     raise _fail(path, f"{d.rule} needs a field {key!r}")
 
 
-def _ctx_remove(ctx: tuple[tuple[str, Formula], ...], name: str) -> tuple[tuple[str, Formula], ...]:
-    return tuple((n, f) for n, f in ctx if n != name)
+# a node's context, which the rule receiving it owns, and its type
+_Open = tuple[dict[str, Formula], Formula]
 
 
-def _ctx_merge(path: tuple[int, ...], *parts: tuple[tuple[str, Formula], ...]) -> tuple[tuple[str, Formula], ...]:
-    seen: set[str] = set()
-    out: list[tuple[str, Formula]] = []
-    for part in parts:
-        for n, f in part:
-            if n in seen:
-                raise _fail(path, f"duplicate context variable {n!r} when merging contexts")
-            seen.add(n)
-            out.append((n, f))
-    return tuple(out)
+def _ctx_extend(path: tuple[int, ...], ctx: dict[str, Formula],
+                more: dict[str, Formula]) -> dict[str, Formula]:
+    """Append `more` to `ctx` in place, failing at the first name of
+    `more`, in order, that `ctx` already holds."""
+    for n, f in more.items():
+        if n in ctx:
+            raise _fail(path, f"duplicate context variable {n!r} when merging contexts")
+        ctx[n] = f
+    return ctx
 
 
 def _apply_rule(d: Derivation, mode: str, path: tuple[int, ...],
-                subs: list[Sequent]) -> Sequent:
+                subs: list[_Open]) -> _Open:
     if mode == EAL:
         for _, v in d.data:
             if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)) and contains_para(v):
@@ -481,138 +485,129 @@ def _apply_rule(d: Derivation, mode: str, path: tuple[int, ...],
 
     if d.rule == "A":
         x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
-        return Sequent(((x, ty),), ty)
+        return {x: ty}, ty
 
     if d.rule == "U":
-        left, right = subs
+        (lctx, lty), (rctx, rty) = subs
         x = _field(d, path, "var", str)
-        xty = right.lookup(x)
+        xty = rctx.pop(x, None)
         if xty is None:
             raise _fail(path, f"cut variable {x!r} not in right context")
-        if not formula_eq(xty, left.type):
-            raise _fail(path, f"cut type mismatch: {show_formula(left.type)} vs {show_formula(xty)}")
-        ctx = _ctx_merge(path, left.ctx, _ctx_remove(right.ctx, x))
-        return Sequent(ctx, right.type)
+        if not formula_eq(xty, lty):
+            raise _fail(path, f"cut type mismatch: {show_formula(lty)} vs {show_formula(xty)}")
+        return _ctx_extend(path, lctx, rctx), rty
+
+    if d.rule == "LLolli":
+        (actx, aty), (bctx, bty) = subs
+        y, x = _field(d, path, "fun", str), _field(d, path, "var", str)
+        xty = bctx.pop(x, None)
+        if xty is None:
+            raise _fail(path, f"continuation variable {x!r} not in right context")
+        ctx = _ctx_extend(path, _ctx_extend(path, actx, bctx), {y: Lolli(aty, xty)})
+        return ctx, bty
+
+    ((ctx, ty),) = subs
 
     if d.rule == "W":
-        (p,) = subs
-        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
-        if p.lookup(x) is not None:
+        x, xty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
+        if x in ctx:
             raise _fail(path, f"weakened variable {x!r} already in context")
-        return Sequent(p.ctx + ((x, ty),), p.type)
+        ctx[x] = xty
+        return ctx, ty
 
     if d.rule == "X":
-        (p,) = subs
         a, b, z = (_field(d, path, k, str) for k in ("a", "b", "z"))
         if a == b:
             raise _fail(path, f"contraction needs two distinct variables, got {a!r} twice")
-        aty, bty = p.lookup(a), p.lookup(b)
+        aty, bty = ctx.get(a), ctx.get(b)
         if aty is None or bty is None:
             raise _fail(path, f"contraction variables {a!r},{b!r} not both in context")
         if not formula_eq(aty, bty):
             raise _fail(path, "contraction on hypotheses of different types")
         if not isinstance(aty, Bang):
             raise _fail(path, f"contraction requires a !-type, got {show_formula(aty)}")
-        if z != a and z != b and p.lookup(z) is not None:
+        if z != a and z != b and z in ctx:
             raise _fail(path, f"contraction target {z!r} already in context")
-        ctx = tuple((z, f) if n == a else (n, f) for n, f in _ctx_remove(p.ctx, b))
-        return Sequent(ctx, p.type)
+        del ctx[b]
+        if z != a:  # z takes a's place
+            ctx = {(z if n == a else n): f for n, f in ctx.items()}
+        return ctx, ty
 
     if d.rule == "RLolli":
-        (p,) = subs
         x = _field(d, path, "var", str)
-        xty = p.lookup(x)
+        xty = ctx.pop(x, None)
         if xty is None:
             raise _fail(path, f"abstracted variable {x!r} not in context")
-        return Sequent(_ctx_remove(p.ctx, x), Lolli(xty, p.type))
-
-    if d.rule == "LLolli":
-        parg, pbody = subs
-        y, x = _field(d, path, "fun", str), _field(d, path, "var", str)
-        xty = pbody.lookup(x)
-        if xty is None:
-            raise _fail(path, f"continuation variable {x!r} not in right context")
-        ctx = _ctx_merge(path, parg.ctx, _ctx_remove(pbody.ctx, x), ((y, Lolli(parg.type, xty)),))
-        return Sequent(ctx, pbody.type)
+        return ctx, Lolli(xty, ty)
 
     if d.rule == "PBang":
         if mode != EAL:
             raise _fail(path, "PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
-        (p,) = subs
-        ctx = tuple((n, Bang(f)) for n, f in p.ctx)
-        return Sequent(ctx, Bang(p.type))
+        return {n: Bang(f) for n, f in ctx.items()}, Bang(ty)
 
     if d.rule == "PBang1":
         if mode != LAL:
             raise _fail(path, "PBang1 is an LAL rule")
-        (p,) = subs
-        if p.ctx:
+        if ctx:
             raise _fail(path, "PBang1 requires an empty context")
-        return Sequent((), Bang(p.type))
+        return ctx, Bang(ty)
 
     if d.rule == "PBang2":
         if mode != LAL:
             raise _fail(path, "PBang2 is an LAL rule")
-        (p,) = subs
-        if len(p.ctx) != 1:
+        if len(ctx) != 1:
             raise _fail(path, "PBang2 requires exactly one hypothesis")
-        (x, xty), = p.ctx
-        if not formula_eq(xty, p.type):
+        (x, xty), = ctx.items()
+        if not formula_eq(xty, ty):
             raise _fail(path, "PBang2 requires the hypothesis type to match the subject type")
-        return Sequent(((x, Bang(xty)),), Bang(p.type))
+        ctx[x] = Bang(xty)
+        return ctx, Bang(ty)
 
     if d.rule == "PPara":
         if mode != LAL:
             raise _fail(path, "PPara is an LAL rule")
-        (p,) = subs
         banged = _field(d, path, "bang", tuple)
-        names = p.ctx_names()
         for x in banged:
-            if x not in names:
+            if x not in ctx:
                 raise _fail(path, f"PPara bang list names unknown variable {x!r}")
-        ctx = tuple((n, Bang(f) if n in banged else Para(f)) for n, f in p.ctx)
-        return Sequent(ctx, Para(p.type))
+        return {n: Bang(f) if n in banged else Para(f) for n, f in ctx.items()}, Para(ty)
 
     if d.rule == "RForall":
-        (p,) = subs
         tv = _field(d, path, "tv", str)
-        for n, f in p.ctx:
+        for n, f in ctx.items():
             if tv in free_type_vars(f):
                 raise _fail(path, f"type variable {tv!r} occurs free in the type of {n!r}")
-        return Sequent(p.ctx, Forall(tv, p.type))
+        return ctx, Forall(tv, ty)
 
     if d.rule == "LForall":
-        (p,) = subs
-        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Forall)
+        x, xall = _field(d, path, "var", str), _field(d, path, "ty", Forall)
         wit = _field(d, path, "wit", Formula)
-        xty = p.lookup(x)
+        xty = ctx.get(x)
         if xty is None:
             raise _fail(path, f"variable {x!r} not in context")
-        expected = subst_formula(ty.body, ty.var, wit)
+        expected = subst_formula(xall.body, xall.var, wit)
         if not formula_eq(xty, expected):
             raise _fail(path, f"instantiation mismatch: hypothesis {show_formula(xty)} "
                               f"!= {show_formula(expected)}")
-        ctx = tuple((n, ty if n == x else f) for n, f in p.ctx)
-        return Sequent(ctx, p.type)
+        ctx[x] = xall
+        return ctx, ty
 
     if d.rule == "RMu":
-        (p,) = subs
-        ty = _field(d, path, "ty", Mu)
-        if not formula_eq(p.type, unfold_mu(ty)):
-            raise _fail(path, f"fold mismatch: subject has {show_formula(p.type)}, "
-                              f"expected {show_formula(unfold_mu(ty))}")
-        return Sequent(p.ctx, ty)
+        mu = _field(d, path, "ty", Mu)
+        if not formula_eq(ty, unfold_mu(mu)):
+            raise _fail(path, f"fold mismatch: subject has {show_formula(ty)}, "
+                              f"expected {show_formula(unfold_mu(mu))}")
+        return ctx, mu
 
     if d.rule == "LMu":
-        (p,) = subs
-        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Mu)
-        xty = p.lookup(x)
+        x, mu = _field(d, path, "var", str), _field(d, path, "ty", Mu)
+        xty = ctx.get(x)
         if xty is None:
             raise _fail(path, f"variable {x!r} not in context")
-        if not formula_eq(xty, unfold_mu(ty)):
+        if not formula_eq(xty, unfold_mu(mu)):
             raise _fail(path, f"unfold mismatch: hypothesis has {show_formula(xty)}")
-        ctx = tuple((n, ty if n == x else f) for n, f in p.ctx)
-        return Sequent(ctx, p.type)
+        ctx[x] = mu
+        return ctx, ty
 
     raise _fail(path, f"unhandled rule {d.rule}")
 

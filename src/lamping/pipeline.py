@@ -49,7 +49,8 @@ class RunStats:
 def prepared_graph(d: Derivation, mode: str = "eal",
                    translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
     """Check, build and translate; the usual test entry point."""
-    net = build_proofnet(d, mode)
+    check_derivation(d, mode)
+    net = build_proofnet(d)
     lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
     return net, lab, translate(net, lab)
 
@@ -61,7 +62,7 @@ def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
     bounded semantics tables of the net and its translation."""
     judgement = check_derivation(d, mode)
     oracle = beta_normalize(judgement.subject)
-    net = build_proofnet(d, mode)
+    net = build_proofnet(d)
     pn_nodes = net.size()
     pn_edges = len(net.wires) // 2
     pn_depth = net_depth(net)

@@ -91,10 +91,29 @@ class PortGraph:
         auxiliary ports pairwise in `PORTS` order, and remove both nodes."""
         (_, na, _), (_, nb, _) = cut
         self.unlink(cut[0])
-        for pa, pb in zip(self.ports(na)[1:], self.ports(nb)[1:]):
-            self.splice(("n", na, pa), ("n", nb, pb))
+        for a, b in self._aux_pairs(cut):
+            self.splice(a, b)
         self.remove_node(na)
         self.remove_node(nb)
+
+    def _aux_pairs(self, cut: tuple[End, End]) -> list[tuple[End, End]]:
+        """The auxiliary ends `annihilate` splices, in splicing order."""
+        (_, na, _), (_, nb, _) = cut
+        return [(("n", na, pa), ("n", nb, pb))
+                for pa, pb in zip(self.ports(na)[1:], self.ports(nb)[1:])]
+
+    def closes_loop(self, cut: tuple[End, End]) -> bool:
+        """Whether annihilating the cut would splice two ends wired to each
+        other, at once or once an earlier splice has joined them; read off
+        the wiring, which it leaves unchanged."""
+        moved: dict[End, End] = {}  # partners the earlier splices rewired
+        for a, b in self._aux_pairs(cut):
+            pa = moved.get(a) or self.wires[a]
+            if pa == b:
+                return True
+            pb = moved.get(b) or self.wires[b]
+            moved[pa], moved[pb] = pb, pa
+        return False
 
     def ports(self, nid: int) -> tuple[str, ...]:
         return self.PORTS[self.nodes[nid]]

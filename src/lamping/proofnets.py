@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+# the benchmark's tracer wraps check_annotated here until ROADMAP item 1 moves the wrap points
 from .derivations import Derivation, check_annotated, fold_derivation
 from .portgraph import End, PortGraph, to_dot
 from .terms import FuelExhausted
@@ -77,11 +78,13 @@ class ProofNet(PortGraph):
         """Rewire whatever old_end pointed at onto new_end, dropping old_end."""
         self.link(new_end, self.unlink(old_end))
 
-    def splice(self, a: End, b: End) -> None:
-        """The core's splice, refusing two ends wired to each other."""
-        if self.wires[a] == b:
+    def annihilate(self, cut: tuple[End, End]) -> None:
+        """The core's annihilate, refusing, before anything changes, a cut
+        whose splices would close a loop. Building splices only ends of two
+        disjoint subnets, so only a step can close one."""
+        if self.closes_loop(cut):
             raise MalformedNet("splice would create a closed loop")
-        super().splice(a, b)
+        super().annihilate(cut)
 
     def remove_node(self, nid: int) -> None:
         super().remove_node(nid)
@@ -129,15 +132,17 @@ def net_depth(net: ProofNet) -> int:
 # ---------------------------------------------------------------------------
 # construction from a checked derivation
 
-def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
-    """Translate a derivation, rule by rule, into its proof-net.
+def build_proofnet(d: Derivation) -> ProofNet:
+    """Translate a derivation that `check_derivation` accepted, rule by
+    rule, into its proof-net.
 
     Each node is translated after its premises (`fold_derivation`), from
     their subnets: (main sentinel, hypothesis sentinels, first node id).
-    No node is removed while building, so a subnet's nodes are the ids
-    from its first one on, which a box takes as its contents.
+    The hypothesis map keeps the checker's context order at every node,
+    which fixes the order of a box's auxiliary doors and of the root's
+    conclusions. No node is removed while building, so a subnet's nodes
+    are the ids from its first one on, which a box takes as its contents.
     """
-    judgements = check_annotated(d, mode)
     net = ProofNet()
     sentinels = itertools.count()
 
@@ -182,11 +187,13 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
         if rule == "X":
             a, b, z = node.get("a"), node.get("b"), node.get("z")
             x = net.add_node("X")
-            net.attach(("n", x, "p"), h.pop(a))  # type: ignore[arg-type]
+            net.attach(("n", x, "p"), h[a])  # type: ignore[index]
             net.attach(("n", x, "q"), h.pop(b))  # type: ignore[arg-type]
             s = new_sent()
             net.link(("n", x, "pr"), s)
-            h[z] = s  # type: ignore[index]
+            h[a] = s  # type: ignore[index]
+            if z != a:  # z takes a's place, as in the checker's context
+                h = {(z if n == a else n): e for n, e in h.items()}
             return m, h, start
 
         if rule == "RLolli":
@@ -210,10 +217,10 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
             net.link(("n", r, "out"), m2)
             doors = [r]
             new_h: dict[str, End] = {}
-            for name in judgements[path + (0,)].ctx_names():
+            for name, end in h.items():
                 lkind = "LBang" if rule != "PPara" or name in banged else "LPara"
                 l = net.add_node(lkind)
-                net.attach(("n", l, "in"), h[name])
+                net.attach(("n", l, "in"), end)
                 s = new_sent()
                 net.link(("n", l, "out"), s)
                 new_h[name] = s
@@ -248,8 +255,8 @@ def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
     main, hyps, _ = fold_derivation(d, visit)
     net.attach(("c", "main"), main)
     net.conclusions = ["main"]
-    for name in judgements[()].ctx_names():
-        net.attach(("c", name), hyps[name])
+    for name, end in hyps.items():
+        net.attach(("c", name), end)
         net.conclusions.append(name)
     return net
 
@@ -303,20 +310,20 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         raise MalformedNet(f"not a cut: {cut}")
     kind, na, nb = _cut_kind(net, cut)
 
-    if kind == "merge":
-        # box of na enters the box owning aux door nb
-        inner_box = net.boxes.pop(na)
-        host = net.box_of[nb]
-        for n, b in net.box_of.items():
-            if b == na:
-                net.box_of[n] = host
-        for b in net.boxes.values():
-            if b.parent == na:
-                b.parent = host
-        host_box = net.boxes[host]
-        host_box.aux_doors = [x for x in host_box.aux_doors if x != nb] + inner_box.aux_doors
     if kind != "contract":
-        net.annihilate(cut)
+        host = net.box_of.get(nb)
+        net.annihilate(cut)  # raises before it changes anything
+        if kind == "merge":
+            # box of na enters the box owning aux door nb
+            inner_box = net.boxes.pop(na)
+            for n, b in net.box_of.items():
+                if b == na:
+                    net.box_of[n] = host
+            for b in net.boxes.values():
+                if b.parent == na:
+                    b.parent = host
+            host_box = net.boxes[host]
+            host_box.aux_doors = [x for x in host_box.aux_doors if x != nb] + inner_box.aux_doors
         return StepReport(kind, removed=[na, nb])
 
     x, r = na, nb

@@ -195,7 +195,7 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,checks", [
-    (["run"], 2),  # run_pipeline's own check, then build_proofnet's
+    (["run"], 1),  # run_pipeline checks; build_proofnet takes the checked derivation
     (["check"], 1),
     (["check", "--annotate"], 1),
     (["trace", "--edge", "f", "--ctx", "|pq"], 1),

@@ -6,15 +6,19 @@ from pathlib import Path
 import pytest
 
 import lamping.derivations
+import lamping.proofnets
 import lamping.terms
 from lamping.corpus import _church, build
 from lamping.derivations import (
-    Derivation, RuleViolation, ax, bang, bang2, check_annotated,
-    check_derivation, contract, cut, derivation_subject, lam, llolli,
+    Derivation, RuleViolation, Sequent, _field, ax, bang, bang1, bang2,
+    check_annotated, check_derivation, contract, cut, derivation_subject,
+    fold_derivation, forall_l, forall_r, lam, llolli, mu_l, para,
     parse_derivation, show_derivation, to_eal_image, weak,
 )
 from lamping.formulas import (
-    Atom, Bang, Lolli, Para, erase_para, formula_eq, parse_formula, show_formula,
+    Atom, Bang, Forall, Formula, Lolli, Mu, Para, contains_para, erase_para,
+    formula_eq, free_type_vars, parse_formula, show_formula, subst_formula,
+    unfold_mu,
 )
 from lamping.proofnets import build_proofnet
 from lamping.terms import (
@@ -342,3 +346,305 @@ def test_church_1000_checks_builds_prints_and_parses_at_the_default_recursion_li
     assert back is not d and same and hash(back) == hash(d)
     assert text.count("(A {var z} {ty a})") == 1 and differ
     assert image == d  # an EAL derivation is its own image
+
+
+# contexts ------------------------------------------------------------------
+
+def _ctx_remove(ctx, name):
+    return tuple((n, f) for n, f in ctx if n != name)
+
+
+def _ctx_merge(path, *parts):
+    seen, out = set(), []
+    for part in parts:
+        for n, f in part:
+            if n in seen:
+                raise RuleViolation(path, f"duplicate context variable {n!r} when merging contexts")
+            seen.add(n)
+            out.append((n, f))
+    return tuple(out)
+
+
+def _reference_rule(d, mode, path, subs):
+    """One rule on tuple contexts, copying or scanning the whole context."""
+    def fail(reason):
+        return RuleViolation(path, reason)
+
+    def field(key, kind):
+        return _field(d, path, key, kind)
+
+    if mode == "eal":
+        for _, v in d.data:
+            if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)) and contains_para(v):
+                raise fail("paragraph modality is not an EAL connective")
+    rule = d.rule
+    if rule == "A":
+        x, ty = field("var", str), field("ty", Formula)
+        return Sequent(((x, ty),), ty)
+    if rule == "U":
+        left, right = subs
+        x = field("var", str)
+        xty = right.lookup(x)
+        if xty is None:
+            raise fail(f"cut variable {x!r} not in right context")
+        if not formula_eq(xty, left.type):
+            raise fail(f"cut type mismatch: {show_formula(left.type)} vs {show_formula(xty)}")
+        return Sequent(_ctx_merge(path, left.ctx, _ctx_remove(right.ctx, x)), right.type)
+    if rule == "LLolli":
+        parg, pbody = subs
+        y, x = field("fun", str), field("var", str)
+        xty = pbody.lookup(x)
+        if xty is None:
+            raise fail(f"continuation variable {x!r} not in right context")
+        ctx = _ctx_merge(path, parg.ctx, _ctx_remove(pbody.ctx, x), ((y, Lolli(parg.type, xty)),))
+        return Sequent(ctx, pbody.type)
+    (p,) = subs
+    if rule == "W":
+        x, ty = field("var", str), field("ty", Formula)
+        if p.lookup(x) is not None:
+            raise fail(f"weakened variable {x!r} already in context")
+        return Sequent(p.ctx + ((x, ty),), p.type)
+    if rule == "X":
+        a, b, z = (field(k, str) for k in ("a", "b", "z"))
+        if a == b:
+            raise fail(f"contraction needs two distinct variables, got {a!r} twice")
+        aty, bty = p.lookup(a), p.lookup(b)
+        if aty is None or bty is None:
+            raise fail(f"contraction variables {a!r},{b!r} not both in context")
+        if not formula_eq(aty, bty):
+            raise fail("contraction on hypotheses of different types")
+        if not isinstance(aty, Bang):
+            raise fail(f"contraction requires a !-type, got {show_formula(aty)}")
+        if z != a and z != b and p.lookup(z) is not None:
+            raise fail(f"contraction target {z!r} already in context")
+        ctx = tuple((z, f) if n == a else (n, f) for n, f in _ctx_remove(p.ctx, b))
+        return Sequent(ctx, p.type)
+    if rule == "RLolli":
+        x = field("var", str)
+        xty = p.lookup(x)
+        if xty is None:
+            raise fail(f"abstracted variable {x!r} not in context")
+        return Sequent(_ctx_remove(p.ctx, x), Lolli(xty, p.type))
+    if rule == "PBang":
+        if mode != "eal":
+            raise fail("PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
+        return Sequent(tuple((n, Bang(f)) for n, f in p.ctx), Bang(p.type))
+    if rule == "PBang1":
+        if mode != "lal":
+            raise fail("PBang1 is an LAL rule")
+        if p.ctx:
+            raise fail("PBang1 requires an empty context")
+        return Sequent((), Bang(p.type))
+    if rule == "PBang2":
+        if mode != "lal":
+            raise fail("PBang2 is an LAL rule")
+        if len(p.ctx) != 1:
+            raise fail("PBang2 requires exactly one hypothesis")
+        (x, xty), = p.ctx
+        if not formula_eq(xty, p.type):
+            raise fail("PBang2 requires the hypothesis type to match the subject type")
+        return Sequent(((x, Bang(xty)),), Bang(p.type))
+    if rule == "PPara":
+        if mode != "lal":
+            raise fail("PPara is an LAL rule")
+        banged = field("bang", tuple)
+        names = p.ctx_names()
+        for x in banged:
+            if x not in names:
+                raise fail(f"PPara bang list names unknown variable {x!r}")
+        ctx = tuple((n, Bang(f) if n in banged else Para(f)) for n, f in p.ctx)
+        return Sequent(ctx, Para(p.type))
+    if rule == "RForall":
+        tv = field("tv", str)
+        for n, f in p.ctx:
+            if tv in free_type_vars(f):
+                raise fail(f"type variable {tv!r} occurs free in the type of {n!r}")
+        return Sequent(p.ctx, Forall(tv, p.type))
+    if rule == "LForall":
+        x, ty, wit = field("var", str), field("ty", Forall), field("wit", Formula)
+        xty = p.lookup(x)
+        if xty is None:
+            raise fail(f"variable {x!r} not in context")
+        expected = subst_formula(ty.body, ty.var, wit)
+        if not formula_eq(xty, expected):
+            raise fail(f"instantiation mismatch: hypothesis {show_formula(xty)} "
+                       f"!= {show_formula(expected)}")
+        return Sequent(tuple((n, ty if n == x else f) for n, f in p.ctx), p.type)
+    if rule == "RMu":
+        ty = field("ty", Mu)
+        if not formula_eq(p.type, unfold_mu(ty)):
+            raise fail(f"fold mismatch: subject has {show_formula(p.type)}, "
+                       f"expected {show_formula(unfold_mu(ty))}")
+        return Sequent(p.ctx, ty)
+    if rule == "LMu":
+        x, ty = field("var", str), field("ty", Mu)
+        xty = p.lookup(x)
+        if xty is None:
+            raise fail(f"variable {x!r} not in context")
+        if not formula_eq(xty, unfold_mu(ty)):
+            raise fail(f"unfold mismatch: hypothesis has {show_formula(xty)}")
+        return Sequent(tuple((n, ty if n == x else f) for n, f in p.ctx), p.type)
+    raise fail(f"unhandled rule {rule}")
+
+
+def reference_check(d, mode="eal"):
+    """The sequent at every node, keyed by path, from tuple contexts that
+    each rule copies or scans whole."""
+    out = {}
+
+    def visit(n, path, subs):
+        out[path] = _reference_rule(n, mode, path, subs)
+        return out[path]
+
+    fold_derivation(d, visit)
+    return out
+
+
+def _context_inputs():
+    """name -> (mode, derivation): the corpus, 40 `Gen` and 30 `LalGen`
+    draws and Church-identity 48."""
+    root = Path(__file__).resolve().parents[1] / "corpus"
+    out = {p.name: (p.suffix[1:], parse_derivation(p.read_text()))
+           for p in sorted(root.iterdir())}
+    out.update({f"gen{seed}": ("eal", Gen(seed).grow()) for seed in range(40)})
+    out.update({f"lalgen{seed}": ("lal", LalGen(seed).grow()) for seed in range(30)})
+    out["church_identity48"] = ("eal", church_identity(48))
+    return out
+
+
+CONTEXT_INPUTS = _context_inputs()
+
+
+def _built_hypotheses(monkeypatch):
+    """Record the names of the builder's hypothesis map, in order, as each
+    node of the next `build_proofnet` hands it to its parent."""
+    seen = {}
+    fold = lamping.proofnets.fold_derivation
+
+    def recording(d, visit):
+        def recorded(n, path, subs):
+            result = visit(n, path, subs)
+            seen[path] = tuple(result[1])
+            return result
+        return fold(d, recorded)
+
+    monkeypatch.setattr(lamping.proofnets, "fold_derivation", recording)
+    return seen
+
+
+def test_contexts_match_the_tuple_checker_and_the_builder(monkeypatch):
+    seen = _built_hypotheses(monkeypatch)
+    for name, (mode, d) in CONTEXT_INPUTS.items():
+        expected = reference_check(d, mode)
+        ann = check_annotated(d, mode)
+        assert ann == expected, name
+        j = check_derivation(d, mode)
+        assert (j.ctx, j.type) == (expected[()].ctx, expected[()].type), name
+        seen.clear()
+        net = build_proofnet(d)
+        assert seen == {path: s.ctx_names() for path, s in ann.items()}, name
+        assert net.conclusions == ["main", *ann[()].ctx_names()], name
+        boxes = [p for p, n in _nodes(d) if n.rule in ("PBang", "PBang1", "PBang2", "PPara")]
+        assert sorted(len(b.aux_doors) for b in net.boxes.values()) == \
+            sorted(len(ann[p + (0,)].ctx) for p in boxes), name
+
+
+B2 = Bang(AA)
+MALFORMED = {
+    # y comes first on the right and x on the left: the right decides
+    "duplicate_merge": cut("c", weak("y", A, weak("x", A, ax("c", A))),
+                           weak("x", A, weak("y", A, ax("c", A)))),
+    "duplicate_hook": llolli("f", "u", weak("f", A, ax("x", A)), ax("u", B)),
+    "hook_already_on_the_right": llolli("f", "u", ax("x", A), weak("f", A, ax("u", B))),
+    "missing_cut_variable": cut("c", ax("x", A), ax("y", A)),
+    "cut_type_mismatch": cut("c", ax("x", B), ax("c", A)),
+    "missing_continuation": llolli("f", "u", ax("x", A), ax("v", B)),
+    "missing_abstracted": lam("y", ax("x", A)),
+    "weakened_twice": weak("x", A, ax("x", A)),
+    "contract_itself": contract("x", "x", "z", weak("x", B2, ax("y", A))),
+    "contract_missing": contract("x", "w", "z", weak("x", B2, ax("y", A))),
+    "contract_linear": contract("x", "w", "z", weak("x", AA, weak("w", AA, ax("y", A)))),
+    "contract_mixed": contract("x", "w", "z", weak("x", B2, weak("w", Bang(A), ax("y", A)))),
+    "contract_onto_taken": contract("x", "w", "y", weak("x", B2, weak("w", B2, ax("y", A)))),
+    "pbang_in_lal": bang(ax("x", A)),
+    "pbang1_in_eal": bang1(ax("x", A)),
+    "pbang1_with_hypothesis": bang1(ax("x", A)),
+    "pbang2_two_hypotheses": bang2(weak("y", A, ax("x", A))),
+    "pbang2_type_mismatch": bang2(weak("y", A, lam("x", ax("x", A)))),
+    "ppara_unknown_name": para(("w",), ax("x", A)),
+    "ppara_in_eal": para(("x",), ax("x", A)),
+    "forall_free": forall_r("a", ax("x", A)),
+    "lforall_missing": forall_l("w", Forall("t", Atom("t")), A, ax("x", A)),
+    "lmu_missing": mu_l("w", Mu("t", Lolli(Atom("t"), A)), ax("x", A)),
+}
+LAL_MALFORMED = {"pbang_in_lal", "pbang1_with_hypothesis", "pbang2_two_hypotheses",
+                 "pbang2_type_mismatch", "ppara_unknown_name"}
+
+
+def _violation(check, d, mode):
+    with pytest.raises(RuleViolation) as e:
+        check(d, mode)
+    return e.value.path, e.value.reason
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_derivations_fail_where_the_tuple_checker_does(name):
+    mode = "lal" if name in LAL_MALFORMED else "eal"
+    d = lam("v", MALFORMED[name])
+    expected = _violation(reference_check, d, mode)
+    assert _violation(check_annotated, d, mode) == expected
+    assert _violation(check_derivation, d, mode) == expected
+    if name == "duplicate_merge":
+        assert expected == ((0,), "duplicate context variable 'y' when merging contexts")
+
+
+def _renamings(d):
+    """d with one name field of one node replaced by another name that
+    occurs in d, for every node, field and name."""
+    names = sorted({v for _, n in _nodes(d) for k, v in n.data
+                    if k in ("var", "a", "b", "z", "fun")})
+
+    def replaced(n, path, key, new):
+        if not path:
+            data = tuple((k, new if k == key else v) for k, v in n.data)
+            return Derivation(n.rule, data, n.premises)
+        i, rest = path[0], path[1:]
+        prem = list(n.premises)
+        prem[i] = replaced(prem[i], rest, key, new)
+        return Derivation(n.rule, n.data, tuple(prem))
+
+    for path, n in _nodes(d):
+        for k, v in n.data:
+            if k in ("var", "a", "b", "z", "fun"):
+                for new in names:
+                    if new != v:
+                        yield replaced(d, path, k, new)
+
+
+def _outcome(check, d, mode):
+    try:
+        return check(d, mode)
+    except RuleViolation as e:
+        return e.path, e.reason
+
+
+def test_renamed_corpus_derivations_fail_where_the_tuple_checker_does():
+    """Every one-field renaming of every corpus file: both checkers accept
+    with the same sequents or reject at the same node for the same reason."""
+    failed = 0
+    for name, (mode, d) in CONTEXT_INPUTS.items():
+        if name.startswith(("gen", "lalgen", "church")):
+            continue
+        for bad in _renamings(d):
+            expected = _outcome(reference_check, bad, mode)
+            assert _outcome(check_annotated, bad, mode) == expected, name
+            failed += isinstance(expected, tuple)
+    assert failed > 1000
+
+
+@pytest.mark.parametrize("name", ["identity", "running_example"])
+def test_check_rejects_unknown_mode(name):
+    _, d = build(name)
+    for check in (check_derivation, check_annotated):
+        with pytest.raises(ValueError, match="mode must be"):
+            check(d, "xal")

@@ -15,8 +15,9 @@ import lamping.proofnets
 import lamping.sharegraphs
 from lamping.corpus import CORPUS, build
 from lamping.pipeline import prepared_graph
-from lamping.proofnets import (MalformedNet, ProofNet, _cut_kind, build_proofnet, edge_depth,
-                               is_special_box, normalize_mlbl, reduce_step_pn)
+from lamping.proofnets import (Box, MalformedNet, ProofNet, _cut_kind, build_proofnet,
+                               edge_depth, find_cuts, is_special_box, normalize_mlbl,
+                               reduce_step_pn)
 from lamping.sharegraphs import SharingGraph, normalize_sg, reduce_step_sg
 from test_randomized import Gen, LalGen
 from test_tower import PN_STEPS, tower
@@ -92,6 +93,7 @@ def test_kept_cuts_match_the_full_wire_scan(monkeypatch):
         net, _, g = prepared_graph(d, mode)
         for structure in (net, g):
             assert copy.deepcopy(structure).cuts == set(_agrees(structure))
+        assert set(find_cuts(net)) == net.cuts, name
         normalize_sg(g)
         normalize_mlbl(net)
         assert not _agrees(net), name
@@ -164,23 +166,50 @@ def test_cut_depths_follow_the_live_cuts(monkeypatch):
     assert len(measured) == len(set(measured)) > PN_STEPS[4]
 
 
-def _closed_beta(g, lam, app):
-    """A lam/app cut whose bod-res and var-arg wires join the two nodes
-    to each other; returns the cut."""
+def _closed_beta(g, lam, app, crossed):
+    """A lam/app cut whose auxiliary wires join the two nodes to each
+    other: bod-res and var-arg, or, crossed, bod-arg and var-res, where
+    only the second splice meets two ends wired to each other. Returns
+    the cut."""
     a, b = g.add_node(lam), g.add_node(app)
     g.link(("n", a, "pr"), ("n", b, "pr"))
-    g.link(("n", a, "bod"), ("n", b, "res"))
-    g.link(("n", a, "var"), ("n", b, "arg"))
+    g.link(("n", a, "bod"), ("n", b, "arg" if crossed else "res"))
+    g.link(("n", a, "var"), ("n", b, "res" if crossed else "arg"))
     return (("n", a, "pr"), ("n", b, "pr"))
 
 
 def test_annihilating_a_closed_loop_leaves_nothing():
-    g = SharingGraph()
-    assert reduce_step_sg(g, _closed_beta(g, "lam", "app")) == "annihilation"
-    assert (g.nodes, g.wires, g.cuts) == ({}, {}, set())
+    for crossed in (False, True):
+        g = SharingGraph()
+        assert reduce_step_sg(g, _closed_beta(g, "lam", "app", crossed)) == "annihilation"
+        assert (g.nodes, g.wires, g.cuts) == ({}, {}, set())
 
 
 def test_a_closed_loop_in_a_net_is_malformed():
+    """The step refuses the cut before it changes the net."""
+    for crossed in (False, True):
+        net = ProofNet()
+        cut = _closed_beta(net, "RLolli", "LLolli", crossed)
+        before = copy.deepcopy((net.nodes, net.wires, net.cuts))
+        with pytest.raises(MalformedNet, match="closed loop"):
+            reduce_step_pn(net, cut)
+        assert (net.nodes, net.wires, net.cuts) == before, crossed
+
+
+def test_a_closed_loop_through_a_merge_leaves_the_boxes():
+    """A box whose principal door's premise is wired to the auxiliary door
+    it meets: the merge is refused before any box is touched."""
     net = ProofNet()
+    r, inner_l = net.add_node("RBang"), net.add_node("LBang")
+    outer, l = net.add_node("RBang"), net.add_node("LBang")
+    net.link(("n", r, "out"), ("n", l, "out"))
+    net.link(("n", r, "in"), ("n", l, "in"))
+    net.link(("n", inner_l, "in"), ("c", "x"))
+    net.link(("n", inner_l, "out"), ("n", outer, "in"))
+    net.link(("n", outer, "out"), ("c", "main"))
+    net.boxes = {r: Box([inner_l], None), outer: Box([l], None)}
+    net.box_of = {r: r, inner_l: r, outer: outer, l: outer}
+    before = copy.deepcopy((net.nodes, net.wires, net.cuts, net.boxes, net.box_of))
     with pytest.raises(MalformedNet, match="closed loop"):
-        reduce_step_pn(net, _closed_beta(net, "RLolli", "LLolli"))
+        reduce_step_pn(net, next(iter(net.cuts)))
+    assert (net.nodes, net.wires, net.cuts, net.boxes, net.box_of) == before

@@ -152,8 +152,8 @@ def test_mlbl_running_example_step_count(corpus_graphs):
 
 
 def test_special_box_with_conclusion_premises(corpus_graphs):
-    mode, d = build("running_example")
-    net = build_proofnet(d, mode)
+    _, d = build("running_example")
+    net = build_proofnet(d)
     (box,) = net.boxes.values()
     assert is_special_box(net, box)
 
@@ -237,13 +237,6 @@ def test_dot_export_deterministic(corpus_graphs):
     _, net, _, _ = corpus_graphs["running_example"]
     assert proofnet_dot(net) == proofnet_dot(net)
     assert "cluster_" in proofnet_dot(net)
-
-
-@pytest.mark.parametrize("name", ["identity", "running_example"])
-def test_build_rejects_unknown_mode(name):
-    _, d = build(name)
-    with pytest.raises(ValueError):
-        build_proofnet(d, "xal")
 
 
 def test_normalize_scans_for_cuts_once_per_step(monkeypatch, corpus_graphs):

@@ -104,8 +104,8 @@ def _check_box_tree(net):
 
 def _nets():
     for name in CORPUS:
-        mode, d = build(name)
-        yield build_proofnet(d, mode)
+        _, d = build(name)
+        yield build_proofnet(d)
     for k in range(1, 5):
         yield build_proofnet(tower(k))
 

@@ -47,8 +47,8 @@ def test_empty_labelling_for_contraction_free_net(corpus_graphs):
 
 
 def test_compatibility():
-    mode, d = build("two_compose_two")
-    net = build_proofnet(d, mode)
+    _, d = build("two_compose_two")
+    net = build_proofnet(d)
     assert check_compatible(net, labelling_lt(net))
     assert check_compatible(net, labelling_dlt(net))
     xs = net.contraction_nodes()
