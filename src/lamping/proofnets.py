@@ -6,12 +6,16 @@ principal door of the box around it, and `box_of` maps every node inside
 a box to its innermost box. A node's depth walks the parent links; the
 contraction step derives a box's contents from the map to copy them.
 Lolli, forall, mu and merge cuts fire through the port-graph core's
-`annihilate`; only contraction, which copies a box, is written here.
+`annihilate`; only contraction, which copies a box, is written here. It
+keeps the box in place as the first copy and adds one fresh copy, so a
+step touches only the nodes it rewrites. `find_cuts` keeps the live cuts
+ranked by depth as the steps go, and sorts none of them again.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 # the benchmark's tracer wraps check_annotated here until ROADMAP item 1 moves the wrap points
@@ -45,7 +49,8 @@ class Box:
 class StepReport:
     """What a single reduction step did, for labelling bookkeeping."""
     kind: str                                   # lolli | forall | mu | merge | contract
-    removed: list[int] = field(default_factory=list)
+    removed: list[int] = field(default_factory=list)  # a contraction removes only its X
+    # box member -> (itself, its fresh copy): the box stays as the first copy
     copied: dict[int, tuple[int, int]] = field(default_factory=dict)
     fresh_contractions: list[int] = field(default_factory=list)
     resolved_contraction: int | None = None
@@ -69,9 +74,11 @@ class ProofNet(PortGraph):
         # node inside a box -> principal door of its innermost box; doors
         # map to their own box, nodes at depth 0 are absent
         self.box_of: dict[int, int] = {}
-        # cut -> its depth, from edge_depth when find_cuts first met it;
-        # each find_cuts drops the cuts that died since the last one
+        # cut -> its depth, from edge_depth when find_cuts first met it,
+        # and the same cuts as sorted (depth, cut) pairs; each find_cuts
+        # drops the cuts that died since the last one and ranks the new ones
         self.cut_depth: dict[tuple[End, End], int] = {}
+        self.cut_rank: list[tuple[int, tuple[End, End]]] = []
         self.conclusions: list[str] = []
 
     def attach(self, new_end: End, old_end: End) -> None:
@@ -267,18 +274,20 @@ def build_proofnet(d: Derivation) -> ProofNet:
 def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
     """Edges principal for both endpoints, ordered by depth then node ids.
 
-    `net.cut_depth` follows the live cuts by set difference: the cuts
-    fired or unwired since the last call are dropped, and only a cut met
-    for the first time goes through `edge_depth`, and its check. A kept
-    depth stays right, since no step changes the depth of a wire it
-    leaves in place.
+    `net.cut_depth` and `net.cut_rank` follow the live cuts by set
+    difference: a cut fired or unwired since the last call leaves both,
+    found in the ranking by bisection, and only a cut met for the first
+    time goes through `edge_depth`, and its check, and is inserted in
+    rank. A kept depth stays right, since no step changes the depth of a
+    wire it leaves in place.
     """
-    live, depth = net.cuts, net.cut_depth
+    live, depth, ranked = net.cuts, net.cut_depth, net.cut_rank
     for c in depth.keys() - live:
-        del depth[c]
+        del ranked[bisect_left(ranked, (depth.pop(c), c))]
     for c in live - depth.keys():
-        depth[c] = edge_depth(net, c)
-    return [c for _, c in sorted((d, c) for c, d in depth.items())]
+        depth[c] = d = edge_depth(net, c)
+        insort(ranked, (d, c))
+    return [c for _, c in ranked]
 
 
 # the kinds a cut may join, in rule orientation; contraction only meets
@@ -341,48 +350,36 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
             elif not (net.nodes[old] in DOOR_KINDS and port == "out"):
                 raise MalformedNet("edge crosses a box boundary away from a door")
 
-    copies: list[dict[int, int]] = []
-    for _i in range(2):
-        m = {old: net.add_node(net.nodes[old]) for old in members}
-        copies.append(m)
-        # duplicate the boxes living inside (including this box itself);
-        # the copy of this box sits where this box sits
-        for old in members:
-            net.box_of[m[old]] = m[net.box_of[old]]
-            if old in net.boxes:
-                b = net.boxes[old]
-                net.boxes[m[old]] = Box([m[a] for a in b.aux_doors],
-                                        box.parent if old == r else m[b.parent])
-        for (_, u, pu), (_, v, pv) in internal:
-            net.link(("n", m[u], pu), ("n", m[v], pv))
+    # the box stays where it is as the first copy; the second is fresh
+    # and sits where the box sits
+    m = {old: net.add_node(net.nodes[old]) for old in members}
+    for old in members:
+        net.box_of[m[old]] = m[net.box_of[old]]
+        if old in net.boxes:
+            b = net.boxes[old]
+            net.boxes[m[old]] = Box([m[a] for a in b.aux_doors],
+                                    box.parent if old == r else m[b.parent])
+    for (_, u, pu), (_, v, pv) in internal:
+        net.link(("n", m[u], pu), ("n", m[v], pv))
 
-    # X premises meet the copied principal doors
-    p_target = net.unlink(("n", x, "p"))
-    q_target = net.unlink(("n", x, "q"))
-    net.link(p_target, ("n", copies[0][r], "out"))
-    net.link(q_target, ("n", copies[1][r], "out"))
+    # X premises meet the two principal doors
+    net.unlink(("n", x, "pr"))
+    net.attach(("n", r, "out"), ("n", x, "p"))
+    net.attach(("n", m[r], "out"), ("n", x, "q"))
 
     fresh: list[int] = []
     for door in box.aux_doors:
-        target = net.unlink(("n", door, "out"))
         xj = net.add_node("X")
-        net.link(("n", xj, "p"), ("n", copies[0][door], "out"))
-        net.link(("n", xj, "q"), ("n", copies[1][door], "out"))
-        net.link(("n", xj, "pr"), target)
+        net.attach(("n", xj, "pr"), ("n", door, "out"))
+        net.link(("n", xj, "p"), ("n", door, "out"))
+        net.link(("n", xj, "q"), ("n", m[door], "out"))
         if x in net.box_of:
             net.box_of[xj] = net.box_of[x]
         fresh.append(xj)
 
-    net.unlink(("n", x, "pr"))
-    removed = [x] + members
-    for end, _ in internal:
-        net.unlink(end)
-    for old in members:
-        net.boxes.pop(old, None)
-        net.remove_node(old)
     net.remove_node(x)
-    return StepReport("contract", removed=removed,
-                      copied={old: (copies[0][old], copies[1][old]) for old in copies[0]},
+    return StepReport("contract", removed=[x],
+                      copied={old: (old, new) for old, new in m.items()},
                       fresh_contractions=fresh, resolved_contraction=x)
 
 

@@ -93,7 +93,7 @@ def test_kept_cuts_match_the_full_wire_scan(monkeypatch):
         net, _, g = prepared_graph(d, mode)
         for structure in (net, g):
             assert copy.deepcopy(structure).cuts == set(_agrees(structure))
-        assert set(find_cuts(net)) == net.cuts, name
+        assert find_cuts(net) == sorted(net.cuts, key=lambda c: (edge_depth(net, c), c)), name
         normalize_sg(g)
         normalize_mlbl(net)
         assert not _agrees(net), name
@@ -141,29 +141,37 @@ def test_normalizing_never_lists_the_wires():
 
 
 def test_cut_depths_follow_the_live_cuts(monkeypatch):
-    """`find_cuts` updates one depth map in place: after each call it holds
-    exactly the live cuts, and no cut's depth is computed twice."""
+    """`find_cuts` updates one depth map and one ranking in place: after
+    each call they hold exactly the live cuts, in the order of a fresh
+    sort, and no cut's depth is computed twice. No step kills a cut it
+    does not fire, so the cuts measured are exactly the cuts fired."""
     net = build_proofnet(tower(4))
     depths = net.cut_depth
-    measured = []
-    depth_of = lamping.proofnets.edge_depth
-    scan = lamping.proofnets.find_cuts
+    measured, fired = [], []
+    scan, step = lamping.proofnets.find_cuts, lamping.proofnets.reduce_step_pn
 
     def measuring(net, edge):
         measured.append(edge)
-        return depth_of(net, edge)
+        return edge_depth(net, edge)
 
     def checked(net):
         cuts = scan(net)
         assert net.cut_depth is depths
         assert set(depths) == set(cuts) == set(reference_pairs(net))
+        assert cuts == sorted(net.cuts, key=lambda c: (edge_depth(net, c), c))
         return cuts
+
+    def firing(net, cut):
+        fired.append(cut)
+        return step(net, cut)
 
     monkeypatch.setattr(lamping.proofnets, "edge_depth", measuring)
     monkeypatch.setattr(lamping.proofnets, "find_cuts", checked)
+    monkeypatch.setattr(lamping.proofnets, "reduce_step_pn", firing)
     assert normalize_mlbl(net)[1] == PN_STEPS[4]
-    assert not depths
-    assert len(measured) == len(set(measured)) > PN_STEPS[4]
+    assert not depths and not net.cut_rank
+    assert len(measured) == len(set(measured))
+    assert set(measured) == set(fired)
 
 
 def _closed_beta(g, lam, app, crossed):

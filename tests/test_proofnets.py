@@ -255,12 +255,3 @@ def test_normalize_scans_for_cuts_once_per_step(monkeypatch, corpus_graphs):
         scans.clear()
         _, steps = normalize_mlbl(copy.deepcopy(net))
         assert len(scans) == steps + 1, name
-
-
-def test_is_cut_agrees_with_the_scans(corpus_graphs):
-    from lamping.sharegraphs import find_cuts_sg
-    for name, (_, net, _, g) in corpus_graphs.items():
-        for graph, cuts in ((net, find_cuts(net)), (g, find_cuts_sg(g))):
-            for a, b in graph.edges():
-                assert ((a, b) in graph.cuts) == ((a, b) in cuts), name
-                assert (b, a) not in graph.cuts, name

@@ -20,6 +20,7 @@ from lamping.pipeline import format_report, prepared_graph, run_pipeline
 from lamping.proofnets import ProofNet, build_proofnet, net_depth, normalize_mlbl
 from lamping.sharegraphs import normalize_sg
 from lamping.terms import App, FuelExhausted, Var
+from lamping.translate import check_compatible, labelling_dlt, labelling_lt
 
 A = Atom("a")
 PN_STEPS = {1: 4, 2: 14, 3: 35, 4: 78, 5: 165, 6: 340, 7: 691, 8: 1394}
@@ -147,6 +148,46 @@ def test_contraction_copies_without_listing_every_wire(monkeypatch):
     assert normalize_mlbl(net)[1] == PN_STEPS[4]
     assert "contract" in {r.kind for r in reports}
     assert edges == []
+
+
+def test_contraction_copies_the_box_once_in_place(monkeypatch):
+    """A contraction keeps the box as the first copy and adds one fresh
+    copy: it removes only its X, so a run removes two nodes per
+    annihilation and one per contraction, and the labelling it carries
+    stays compatible."""
+    from test_weight_golden import church_identity
+    step = lamping.proofnets.reduce_step_pn
+    removals = _count_calls(monkeypatch, ProofNet, "remove_node")
+    run = {}
+
+    def checked(net, cut):
+        before = dict(net.nodes)
+        report = step(net, cut)
+        run["kinds"].append(report.kind)
+        run["lab"].carry(report)
+        if report.kind == "contract":
+            assert report.removed == [report.resolved_contraction]
+            assert report.copied
+            for old, (first, new) in report.copied.items():
+                assert first == old and net.nodes[old] == before[old]
+                assert new not in before and net.nodes[new] == before[old]
+            assert check_compatible(net, run["lab"])
+        return report
+
+    monkeypatch.setattr(lamping.proofnets, "reduce_step_pn", checked)
+    ds = [d for _, d in map(build, sorted(CORPUS))]
+    ds += [tower(k) for k in range(1, 6)] + [church_identity(16)]
+    contractions = 0
+    for d in ds:
+        for labelling in (labelling_lt, labelling_dlt):
+            net = build_proofnet(d)
+            run.update(kinds=[], lab=labelling(net))
+            removals.clear()
+            normalize_mlbl(net)
+            n = run["kinds"].count("contract")
+            assert len(removals) == 2 * (len(run["kinds"]) - n) + n
+            contractions += n
+    assert contractions > 0
 
 
 def test_budget_one_short_stops_at_the_budget(monkeypatch):
