@@ -18,7 +18,7 @@ from pathlib import Path
 from .derivations import (DerivationSyntaxError, RuleViolation,
                           check_derivation, parse_derivation, show_derivation)
 from .formulas import show_formula
-from .pipeline import format_report, prepared_graph, run_pipeline
+from .pipeline import built_graph, format_report, prepared_graph, run_pipeline
 from .proofnets import proofnet_dot
 from .semantics import (FuelExhaustedRun, Reached, Stuck, parse_ctx, run_token,
                         show_ctx)
@@ -46,7 +46,8 @@ def cmd_run(args) -> int:
     if args.dot:
         outdir = Path(args.dot)
         outdir.mkdir(parents=True, exist_ok=True)
-        net, lab, graph = prepared_graph(d, args.mode, args.translation)
+        # run_pipeline has checked d
+        net, _, graph = built_graph(d, args.translation)
         (outdir / "proofnet.dot").write_text(proofnet_dot(net))
         (outdir / "graph.dot").write_text(graph_dot(graph))
         normalize_sg(graph, args.max_steps)

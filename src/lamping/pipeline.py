@@ -18,7 +18,7 @@ from .sharegraphs import SGStats, SharingGraph, normalize_sg
 from .terms import Term, alpha_eq, beta_normalize, show_term
 from .translate import Labelling, labelling_dlt, labelling_lt, translate
 
-__all__ = ["RunStats", "run_pipeline", "prepared_graph", "format_report"]
+__all__ = ["RunStats", "run_pipeline", "prepared_graph", "built_graph", "format_report"]
 
 
 @dataclass
@@ -50,6 +50,12 @@ def prepared_graph(d: Derivation, mode: str = "eal",
                    translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
     """Check, build and translate; the usual test entry point."""
     check_derivation(d, mode)
+    return built_graph(d, translation)
+
+
+def built_graph(d: Derivation,
+                translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
+    """Build, label and translate a derivation `check_derivation` accepted."""
     net = build_proofnet(d)
     lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
     return net, lab, translate(net, lab)

@@ -7,7 +7,11 @@ lists its ports with the principal one first; kinds in `NO_PRINCIPAL`
 have none. Rewriting only ever fires on a wire joining two principal
 ports; those wires are the graph's cuts. `link` and `unlink` are the only
 writers of the wiring, and they keep the set of cuts up to date as they
-go, so callers read `cuts` directly and never scan the wires. The rewrite
+go, so callers read `cuts` directly and never scan the wires. A graph
+whose `cut_log` is a list (proof-nets) also gets every cut that `link`
+makes or `unlink` drops appended to it, for a reader that follows only
+what changed; elsewhere (sharing graphs) it is None and nothing is
+logged. The rewrite
 primitives are shared too: `splice`, `remove_node`, and `annihilate`, the
 one interaction rule on a cut. `ROLES` says how the token machine crosses
 each kind: `mult` and `exp` nodes push or pop one symbol on the
@@ -51,6 +55,8 @@ class PortGraph:
         self.wires: dict[End, End] = {}
         # the wires joining two principal ports, as (lower end, higher end)
         self.cuts: set[tuple[End, End]] = set()
+        # the cuts made or dropped since the reader last cleared it, or None
+        self.cut_log: list[tuple[End, End]] | None = None
         self._next = itertools.count()
 
     def add_node(self, kind: str) -> int:
@@ -59,20 +65,27 @@ class PortGraph:
         return nid
 
     def link(self, a: End, b: End) -> None:
-        """Wire a to b, recording the wire in `cuts` when both ends are
-        principal. With `unlink`, the only writer of `wires`."""
+        """Wire a to b, recording the wire in `cuts` (and `cut_log`) when
+        both ends are principal. With `unlink`, the only writer of `wires`."""
         assert a not in self.wires and b not in self.wires, "port already wired"
         self.wires[a] = b
         self.wires[b] = a
         if self.is_principal_end(a) and self.is_principal_end(b):
-            self.cuts.add((a, b) if a <= b else (b, a))
+            cut = (a, b) if a <= b else (b, a)
+            self.cuts.add(cut)
+            if self.cut_log is not None:
+                self.cut_log.append(cut)
 
     def unlink(self, a: End) -> End:
-        """Remove the wire at a, and from `cuts` if it is one; returns
-        the other end."""
+        """Remove the wire at a, and from `cuts` (logging it in `cut_log`)
+        if it is one; returns the other end."""
         b = self.wires.pop(a)
         del self.wires[b]
-        self.cuts.discard((a, b) if a <= b else (b, a))
+        if self.is_principal_end(a) and self.is_principal_end(b):
+            cut = (a, b) if a <= b else (b, a)
+            self.cuts.discard(cut)
+            if self.cut_log is not None:
+                self.cut_log.append(cut)
         return b
 
     def splice(self, a: End, b: End) -> None:

@@ -1,15 +1,16 @@
 """Proof-nets for EAL/LAL: construction, boxes, cuts, and reduction.
 
 Nets are port graphs (see portgraph.py). Boxes form a tree: each box
-is keyed by its principal door and keeps its auxiliary doors and the
-principal door of the box around it, and `box_of` maps every node inside
-a box to its innermost box. A node's depth walks the parent links; the
-contraction step derives a box's contents from the map to copy them.
-Lolli, forall, mu and merge cuts fire through the port-graph core's
-`annihilate`; only contraction, which copies a box, is written here. It
-keeps the box in place as the first copy and adds one fresh copy, so a
-step touches only the nodes it rewrites. `find_cuts` keeps the live cuts
-ranked by depth as the steps go, and sorts none of them again.
+is keyed by its principal door and keeps its auxiliary doors, the
+principal door of the box around it, and the index below it: its direct
+members and its child boxes. `box_of` maps every node inside a box to
+its innermost box. A node's depth walks the parent links; a box's
+contents walk the index down. Lolli, forall, mu and merge cuts fire
+through the port-graph core's `annihilate`; only contraction, which
+copies a box, is written here. It keeps the box in place as the first
+copy and adds one fresh copy, and a merge hands the inner box's index to
+its host, so a step touches only the nodes it rewrites. `find_cuts` keeps
+the live cuts ranked by depth, reading only the cuts the steps logged.
 """
 
 from __future__ import annotations
@@ -41,8 +42,14 @@ class MalformedNet(Exception):
 
 @dataclass
 class Box:
+    """A box's doors and its place in the box tree. `members` (the nodes
+    whose innermost box this is, its doors included) and `children` (the
+    boxes whose parent this is) index `box_of` and `parent` downwards;
+    they stay out of `==` and `repr`."""
     aux_doors: list[int]
     parent: int | None  # principal door of the enclosing box
+    members: set[int] = field(default_factory=set, compare=False, repr=False)
+    children: set[int] = field(default_factory=set, compare=False, repr=False)
 
 
 @dataclass
@@ -72,13 +79,16 @@ class ProofNet(PortGraph):
         super().__init__()
         self.boxes: dict[int, Box] = {}  # keyed by principal door
         # node inside a box -> principal door of its innermost box; doors
-        # map to their own box, nodes at depth 0 are absent
+        # map to their own box, nodes at depth 0 are absent. Written only
+        # by `place`, `remove_node`, the merge and the contraction's copy,
+        # which keep each box's `members` in step.
         self.box_of: dict[int, int] = {}
         # cut -> its depth, from edge_depth when find_cuts first met it,
         # and the same cuts as sorted (depth, cut) pairs; each find_cuts
-        # drops the cuts that died since the last one and ranks the new ones
+        # drops the logged cuts that died and ranks the logged new ones
         self.cut_depth: dict[tuple[End, End], int] = {}
         self.cut_rank: list[tuple[int, tuple[End, End]]] = []
+        self.cut_log = []
         self.conclusions: list[str] = []
 
     def attach(self, new_end: End, old_end: End) -> None:
@@ -93,9 +103,17 @@ class ProofNet(PortGraph):
             raise MalformedNet("splice would create a closed loop")
         super().annihilate(cut)
 
+    def place(self, nid: int, box: int | None) -> None:
+        """Put a node not yet in any box into `box` (None: depth 0)."""
+        if box is not None:
+            self.box_of[nid] = box
+            self.boxes[box].members.add(nid)
+
     def remove_node(self, nid: int) -> None:
         super().remove_node(nid)
-        self.box_of.pop(nid, None)
+        box = self.box_of.pop(nid, None)
+        if box is not None:
+            self.boxes[box].members.discard(nid)
 
     def node_depth(self, nid: int) -> int:
         depth, b = 0, self.box_of.get(nid)
@@ -105,13 +123,14 @@ class ProofNet(PortGraph):
 
     def box_contents(self, r: int) -> set[int]:
         """Every node inside the box with principal door r, doors and
-        nested boxes included."""
-        def within(b: int | None) -> bool:
-            while b is not None and b != r:
-                b = self.boxes[b].parent
-            return b == r
-        nested = {b for b in self.boxes if within(b)}
-        return {n for n, b in self.box_of.items() if b in nested}
+        nested boxes included, gathered down the box tree from r."""
+        contents: set[int] = set()
+        todo = [r]
+        while todo:
+            box = self.boxes[todo.pop()]
+            contents |= box.members
+            todo.extend(box.children)
+        return contents
 
     def end_depth(self, end: End) -> int:
         if end[0] == "c":
@@ -232,13 +251,15 @@ def build_proofnet(d: Derivation) -> ProofNet:
                 net.link(("n", l, "out"), s)
                 new_h[name] = s
                 doors.append(l)
+            box = net.boxes[r] = Box(aux_doors=doors[1:], parent=None)
             for n in inner:
                 if n not in net.box_of:
-                    net.box_of[n] = r
+                    net.place(n, r)
                 elif n in net.boxes and net.boxes[n].parent is None:
                     net.boxes[n].parent = r
-            net.box_of.update(dict.fromkeys(doors, r))
-            net.boxes[r] = Box(aux_doors=doors[1:], parent=None)
+                    box.children.add(n)
+            for door in doors:
+                net.place(door, r)
             return m2, new_h, start
 
         if rule in ("RForall", "RMu"):
@@ -274,19 +295,24 @@ def build_proofnet(d: Derivation) -> ProofNet:
 def find_cuts(net: ProofNet) -> list[tuple[End, End]]:
     """Edges principal for both endpoints, ordered by depth then node ids.
 
-    `net.cut_depth` and `net.cut_rank` follow the live cuts by set
-    difference: a cut fired or unwired since the last call leaves both,
-    found in the ranking by bisection, and only a cut met for the first
-    time goes through `edge_depth`, and its check, and is inserted in
-    rank. A kept depth stays right, since no step changes the depth of a
-    wire it leaves in place.
+    `net.cut_depth` and `net.cut_rank` follow the live cuts through
+    `net.cut_log`, the cuts `link` made and `unlink` dropped since the
+    last call, which it then clears: a logged cut that is ranked but no
+    longer live leaves both, found in the ranking by bisection, and a
+    live one met for the first time goes through `edge_depth`, and its
+    check, and is inserted in rank. A cut made and dropped in between is
+    neither. A kept depth stays right, since no step changes the depth of
+    a wire it leaves in place.
     """
     live, depth, ranked = net.cuts, net.cut_depth, net.cut_rank
-    for c in depth.keys() - live:
-        del ranked[bisect_left(ranked, (depth.pop(c), c))]
-    for c in live - depth.keys():
-        depth[c] = d = edge_depth(net, c)
-        insort(ranked, (d, c))
+    for c in net.cut_log:
+        if c in depth:
+            if c not in live:
+                del ranked[bisect_left(ranked, (depth.pop(c), c))]
+        elif c in live:
+            depth[c] = d = edge_depth(net, c)
+            insort(ranked, (d, c))
+    net.cut_log.clear()
     return [c for _, c in ranked]
 
 
@@ -323,15 +349,17 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         host = net.box_of.get(nb)
         net.annihilate(cut)  # raises before it changes anything
         if kind == "merge":
-            # box of na enters the box owning aux door nb
-            inner_box = net.boxes.pop(na)
-            for n, b in net.box_of.items():
-                if b == na:
-                    net.box_of[n] = host
-            for b in net.boxes.values():
-                if b.parent == na:
-                    b.parent = host
-            host_box = net.boxes[host]
+            # box of na enters the box owning aux door nb, handing over
+            # its members and child boxes
+            inner_box, host_box = net.boxes.pop(na), net.boxes[host]
+            for n in inner_box.members:
+                net.box_of[n] = host
+            for b in inner_box.children:
+                net.boxes[b].parent = host
+            host_box.members |= inner_box.members
+            host_box.children |= inner_box.children
+            if inner_box.parent is not None:
+                net.boxes[inner_box.parent].children.discard(na)
             host_box.aux_doors = [x for x in host_box.aux_doors if x != nb] + inner_box.aux_doors
         return StepReport(kind, removed=[na, nb])
 
@@ -358,7 +386,10 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         if old in net.boxes:
             b = net.boxes[old]
             net.boxes[m[old]] = Box([m[a] for a in b.aux_doors],
-                                    box.parent if old == r else m[b.parent])
+                                    box.parent if old == r else m[b.parent],
+                                    {m[n] for n in b.members}, {m[c] for c in b.children})
+    if box.parent is not None:
+        net.boxes[box.parent].children.add(m[r])
     for (_, u, pu), (_, v, pv) in internal:
         net.link(("n", m[u], pu), ("n", m[v], pv))
 
@@ -373,8 +404,7 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         net.attach(("n", xj, "pr"), ("n", door, "out"))
         net.link(("n", xj, "p"), ("n", door, "out"))
         net.link(("n", xj, "q"), ("n", m[door], "out"))
-        if x in net.box_of:
-            net.box_of[xj] = net.box_of[x]
+        net.place(xj, net.box_of.get(x))
         fresh.append(xj)
 
     net.remove_node(x)

@@ -106,22 +106,23 @@ def _suffix(a: tuple, b: tuple) -> bool:
     return len(a) <= len(b) and (len(a) == 0 or b[-len(a):] == a)
 
 
-def _resolve_binder(memo: list, anchor: Anchor) -> tuple:
+def _resolve_binder(memo: list, exact: dict, anchor: Anchor) -> tuple:
     """Find the memo entry whose binders the anchor refers to.
 
-    Exact anchor equality is the common case. Crossing the sharing fans
+    The memo holds only the entries with binders, since no other can be
+    referred to. An exact match is looked up first, in `exact`, which
+    maps each anchor to its first memo entry. Crossing the sharing fans
     of a bound variable pushes extra symbols on the exponential stacks of
     the landing, so a reference may carry junk above the true anchor's
     stacks: accept a candidate whose every exponential stack is a suffix
     of the reference's, and insist the match is unique at maximal depth.
     """
+    if anchor in exact:
+        return exact[anchor]
     port, ctx = anchor
-    exact = [entry for entry in memo if entry[0] == (port, ctx) and entry[1]]
-    if exact:
-        return exact[0]
     cands = []
     for (eport, ectx), binders in memo:
-        if not binders or eport != port or ectx[-1] != ctx[-1]:
+        if eport != port or ectx[-1] != ctx[-1]:
             continue
         if all(_suffix(ectx[i], ctx[i]) for i in range(len(ctx) - 1)):
             cands.append(((eport, ectx), binders))
@@ -151,7 +152,8 @@ def readback_term(structure, labelling) -> Term:
             if name not in taken:
                 return name
 
-    memo: list = []  # [(anchor, [binder names])] in query order
+    memo: list = []  # [(anchor, [binder names])] with binders, in query order
+    exact: dict = {}  # anchor -> its first memo entry
     # Work items: ("expand", anchor), or ("apply", binders, head, m) to
     # apply head to the last m terms built and wrap it in the binders. An
     # anchor's head is resolved, against the memo so far, before its
@@ -175,12 +177,14 @@ def readback_term(structure, labelling) -> Term:
         anchor = item[1]
         ans = psi_query(structure, labelling, anchor, moves)
         binders = [fresh() for _ in range(ans.n)]
-        memo.append((anchor, binders))
+        if binders:
+            memo.append((anchor, binders))
+            exact.setdefault(anchor, memo[-1])
         if ans.head[0] == "free":
             head = Var(ans.head[1])
         else:
             _, banchor, l = ans.head
-            entry = _resolve_binder(memo, banchor)
+            entry = _resolve_binder(memo, exact, banchor)
             names = entry[1]
             if l >= len(names):
                 raise ReadbackError(f"binder index {l} out of range at {banchor}")

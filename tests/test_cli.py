@@ -196,11 +196,13 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,checks", [
     (["run"], 1),  # run_pipeline checks; build_proofnet takes the checked derivation
+    (["run", "--dot", "DIR"], 1),  # the .dot structures are built from the checked derivation
     (["check"], 1),
     (["check", "--annotate"], 1),
     (["trace", "--edge", "f", "--ctx", "|pq"], 1),
-], ids=["run", "check", "check-annotate", "trace"])
-def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, argv, checks):
+], ids=["run", "run-dot", "check", "check-annotate", "trace"])
+def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, tmp_path, argv, checks):
+    argv = [str(tmp_path / "dot") if a == "DIR" else a for a in argv]
     calls = []
     check_all = lamping.derivations._check_all
 

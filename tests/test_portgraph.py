@@ -140,6 +140,16 @@ def test_normalizing_never_lists_the_wires():
     assert g.wires.scans == 0
 
 
+def test_only_proof_nets_log_their_cuts():
+    """A sharing graph keeps no log of cut changes; a proof-net's log is
+    read to the end by every `find_cuts`."""
+    net, _, g = prepared_graph(church_identity(16))
+    normalize_sg(g)
+    assert g.cut_log is None
+    normalize_mlbl(net)
+    assert net.cut_log == []
+
+
 def test_cut_depths_follow_the_live_cuts(monkeypatch):
     """`find_cuts` updates one depth map and one ranking in place: after
     each call they hold exactly the live cuts, in the order of a fresh

@@ -4,7 +4,7 @@ import pytest
 
 import lamping.readback
 from lamping.corpus import A, CORPUS, _church, build
-from lamping.derivations import ax, dapp, lam, llolli
+from lamping.derivations import ax, check_derivation, dapp, lam, llolli
 from lamping.formulas import Atom, Bang, Lolli
 from lamping.pipeline import prepared_graph, run_pipeline
 from lamping.proofnets import normalize_mlbl
@@ -225,3 +225,14 @@ def test_one_walk_probe_matches_the_rerun_reference(monkeypatch):
                 runs += 1
     assert runs == 466
     assert max(a.n for a in answers) >= 2
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_unapplied_church_numeral_reads_back_at_scale(n):
+    """Each of the n occurrences of s in \\s.\\z.s (... (s z)) is a bound
+    head resolved against the memo, so a readback that scanned the whole
+    memo per head would be quadratic in n."""
+    d = _church(n)
+    _, lab, g = prepared_graph(d)
+    rb = readback_term(normalize_sg(g)[0], lab)
+    assert alpha_eq(rb, beta_normalize(check_derivation(d).subject))

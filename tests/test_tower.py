@@ -3,11 +3,13 @@
 Tower k generalises the corpus entry two_compose_two_applied (k = 2) and
 nests boxes k deep, where the corpus stops at 2. Its normal form is
 S^(2^k) Z. The sharing-graph route takes 4k-1 steps with k-1 copies; the
-level-by-level proof-net route takes the pinned counts below.
+level-by-level proof-net route takes the pinned counts below, which are
+11·2^(k-1) - k - 6.
 """
 
 import copy
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -17,7 +19,8 @@ from lamping.corpus import CORPUS, _church, build
 from lamping.derivations import ax, bang, cut, dapp, forall_l, forall_r, lam, llolli
 from lamping.formulas import Atom, Bang, Forall, Lolli
 from lamping.pipeline import format_report, prepared_graph, run_pipeline
-from lamping.proofnets import ProofNet, build_proofnet, net_depth, normalize_mlbl
+from lamping.proofnets import (Box, ProofNet, _cut_kind, build_proofnet, edge_depth, net_depth,
+                               normalize_mlbl)
 from lamping.sharegraphs import normalize_sg
 from lamping.terms import App, FuelExhausted, Var
 from lamping.translate import check_compatible, labelling_dlt, labelling_lt
@@ -66,6 +69,10 @@ def test_tower_counts_and_readback(k):
     for r in (sg, pn):
         assert r.verdict
         assert _is_s_power(r.readback, 2 ** k)
+
+
+def test_pn_steps_follow_the_closed_form():
+    assert all(n == 11 * 2 ** (k - 1) - k - 6 for k, n in PN_STEPS.items())
 
 
 @pytest.mark.parametrize("k", [10, 12])
@@ -126,6 +133,115 @@ def test_box_tree_holds_after_every_step(monkeypatch):
         _check_box_tree(net)
         normalize_mlbl(net)
     assert {"merge", "contract"} <= set(fired)
+
+
+def reference_box_contents(net, r):
+    """`box_contents` by scanning every box and every `box_of` entry, as
+    it was before boxes kept their members and children."""
+    def within(b):
+        while b is not None and b != r:
+            b = net.boxes[b].parent
+        return b == r
+    nested = {b for b in net.boxes if within(b)}
+    return {n for n, b in net.box_of.items() if b in nested}
+
+
+def reference_merge(boxes, box_of, na, nb):
+    """The box bookkeeping of a merge of the box na into the box of its
+    auxiliary door nb as it was before boxes kept an index: both doors
+    leave `box_of`, and the inner box's nodes and child boxes move to the
+    host by a scan of every `box_of` entry and every box."""
+    host = box_of.pop(nb)
+    del box_of[na]
+    inner_box = boxes.pop(na)
+    for n, b in box_of.items():
+        if b == na:
+            box_of[n] = host
+    for b in boxes.values():
+        if b.parent == na:
+            b.parent = host
+    host_box = boxes[host]
+    host_box.aux_doors = [x for x in host_box.aux_doors if x != nb] + inner_box.aux_doors
+
+
+def _check_box_index(net):
+    """Each box's members and children are the scans of `box_of` and of
+    the parent links, and its contents the reference's."""
+    members, children = defaultdict(set), defaultdict(set)
+    for n, b in net.box_of.items():
+        members[b].add(n)
+    for r, box in net.boxes.items():
+        children[box.parent].add(r)
+    for r, box in net.boxes.items():
+        assert box.members == members[r], r
+        assert box.children == children[r], r
+        assert net.box_contents(r) == reference_box_contents(net, r), r
+
+
+def _checking_steps(monkeypatch, on_step=None):
+    """Wrap `reduce_step_pn` and `find_cuts`: every merge is compared with
+    `reference_merge`, the box index with the scans after every step
+    (after `on_step(net, cut, inner_box)` has had a look), and each
+    `find_cuts` with a fresh sort, its log read to the end. Returns the
+    kinds fired."""
+    step, scan = lamping.proofnets.reduce_step_pn, lamping.proofnets.find_cuts
+    kinds = []
+
+    def stepping(net, cut):
+        kind, na, nb = _cut_kind(net, cut)
+        inner_box = net.boxes.get(na)
+        if kind == "merge":
+            boxes = {r: Box(list(b.aux_doors), b.parent) for r, b in net.boxes.items()}
+            box_of = dict(net.box_of)
+            reference_merge(boxes, box_of, na, nb)
+        report = step(net, cut)
+        if kind == "merge":
+            assert (net.boxes, net.box_of) == (boxes, box_of)
+        if on_step is not None:
+            on_step(net, cut, inner_box)
+        _check_box_index(net)
+        kinds.append(kind)
+        return report
+
+    def scanning(net):
+        cuts = scan(net)
+        assert net.cut_log == []
+        assert cuts == sorted(net.cuts, key=lambda c: (edge_depth(net, c), c))
+        return cuts
+
+    monkeypatch.setattr(lamping.proofnets, "reduce_step_pn", stepping)
+    monkeypatch.setattr(lamping.proofnets, "find_cuts", scanning)
+    return kinds
+
+
+def test_box_index_and_cut_log_follow_every_step(monkeypatch):
+    from test_weight_golden import church_identity
+    kinds = _checking_steps(monkeypatch)
+    ds = [build(name) for name in sorted(CORPUS)]
+    ds += [("eal", tower(k)) for k in range(1, 7)] + [("eal", church_identity(16))]
+    for _, d in ds:
+        for labelling in (labelling_lt, labelling_dlt):
+            net = build_proofnet(d)
+            _check_box_index(net)
+            normalize_mlbl(net, labelling=labelling(net))
+    assert {"merge", "contract"} <= set(kinds)
+
+
+def test_a_merge_that_skips_moving_the_children_fails_the_check(monkeypatch):
+    """A merge that left the inner box's child boxes out of the host's
+    `children` is caught."""
+    skipped = []
+
+    def skip_children(net, cut, inner_box):
+        if inner_box and inner_box.children:
+            host = net.boxes[next(iter(inner_box.children))].parent
+            net.boxes[host].children -= inner_box.children
+            skipped.append(cut)
+
+    _checking_steps(monkeypatch, skip_children)
+    with pytest.raises(AssertionError):
+        normalize_mlbl(build_proofnet(tower(3)))
+    assert skipped
 
 
 def _count_calls(monkeypatch, owner, name):
