@@ -135,11 +135,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.file}: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Derivations, readback and printing walk explicit stacks, but the
-        # formula functions (parse_formula, show_formula, formula_eq) and
-        # the oracle's substitution still recurse once per level: the
-        # depth of a type in the input, and of a term the oracle
-        # substitutes into, is bounded by Python's recursion limit.
+        # Parsing, derivations, readback and printing terms walk explicit
+        # stacks, but the formula functions past the parser (show_formula,
+        # formula_eq, subst_formula, free_type_vars, contains_para,
+        # erase_para, the dataclasses' == and hash) and the oracle's
+        # substitution (terms._subst) recurse once per level: the depth
+        # of a type in the input, and of a term the oracle substitutes
+        # into, is bounded by Python's recursion limit.
         print(f"error: {args.file}: formula or term nested too deeply "
               f"for Python's recursion limit ({sys.getrecursionlimit()})",
               file=sys.stderr)

@@ -13,9 +13,14 @@ where substituting rule by rule would rename it.
 
 Passes over every node go premises first, through `_premises_first`
 and the fold over it, or through the path-free `_post_order` where no
-error needs a path; the printer, the parser and `==` keep their own
-explicit stacks. No walk recurses, so a derivation's depth is limited
-by memory, not by Python's recursion limit.
+error needs a path; the printer and `==` keep their own explicit stacks,
+and the reader keeps its open nodes on one while it scans the text once.
+No walk over a derivation recurses, so its depth is limited by memory,
+not by Python's recursion limit. The formulas in its fields are parsed
+on an explicit stack too, but the other formula functions that the
+checker calls (`formula_eq`, `subst_formula`, `free_type_vars`,
+`contains_para`, `erase_para`, `show_formula`) recurse once per level of
+a type.
 """
 
 from __future__ import annotations
@@ -644,7 +649,23 @@ def to_eal_image(d: Derivation) -> Derivation:
 _FORMULA_KEYS = {"ty", "wit"}
 _LIST_KEYS = {"bang"}
 
-_D_TOKEN = re.compile(r"\s*(\(|\)|\{|\}|\[|\]|[^\s(){}\[\]]+)")
+# One match per unit of the format; findall gives each as the tuple of
+# its groups, '' where a group took no part:
+#   a field: '{' (0); its key (1), '' when a bracket comes first; then one
+#     plain word and the '}' (2), or else the rest (3) and the '}' (4), ''
+#     when the text ends first;
+#   a run of ')' (5);
+#   '(' (6) and the rule tag (7), '' when a bracket or the end comes first;
+#   anything else (8): an annotation, to its ']' or the end of the text,
+#     or else the first word, '}' or ']' of what has no place here.
+_SCAN = re.compile(r"""\s*(?:
+      (\{)\s*([^\s(){}\[\]]*)\s*(?:([^\s(){}\[\]]+)\s*\}|([^}]*)(\}?))
+    | (\)(?:\s*\))*)
+    | (\()\s*([^\s(){}\[\]]*)
+    | (\[[^\]]*\]?|[^\s(){}\[\]]+|[\]}])
+    )""", re.X)
+# A word: a run of characters other than blanks and brackets, or a bracket.
+_WORD = re.compile(r"[^\s(){}\[\]]+|[(){}\[\]]")
 
 
 def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
@@ -691,71 +712,104 @@ def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
     return "".join(out)
 
 
-def _parse_head(toks: list[str], pos: int) -> tuple[str, list[tuple[str, object]], int]:
-    """Read a node's '(', rule tag, fields and judgement annotation from
-    token `pos`; returns the rule, the fields and the next position."""
-    if pos >= len(toks) or toks[pos] != "(":
-        raise DerivationSyntaxError(f"expected '(' at token {pos}")
-    pos += 1
-    if pos >= len(toks) or toks[pos] not in RULE_ARITY:
-        raise DerivationSyntaxError(f"unknown rule tag {toks[pos] if pos < len(toks) else None!r}")
-    rule = toks[pos]
-    pos += 1
-    data: list[tuple[str, object]] = []
-    while pos < len(toks) and toks[pos] == "{":
-        pos += 1
-        raw: list[str] = []
-        while pos < len(toks) and toks[pos] != "}":
-            raw.append(toks[pos])
-            pos += 1
-        if pos >= len(toks):
-            raise DerivationSyntaxError("unterminated field")
-        if not raw:
-            raise DerivationSyntaxError(f"empty field at token {pos}")
-        pos += 1
-        key, raw = raw[0], raw[1:]
-        if key in _FORMULA_KEYS:
-            try:
-                data.append((key, parse_formula(" ".join(raw))))
-            except FormulaSyntaxError as e:
-                raise DerivationSyntaxError(f"field {key!r}: {e}") from None
-        elif key in _LIST_KEYS:
-            data.append((key, tuple(raw)))
-        else:
-            if len(raw) != 1:
-                raise DerivationSyntaxError(f"field {key!r} takes one value")
-            data.append((key, raw[0]))
-    if pos < len(toks) and toks[pos] == "[":
-        while pos < len(toks) and toks[pos] != "]":
-            pos += 1
-        if pos >= len(toks):
-            raise DerivationSyntaxError("unterminated judgement annotation")
-        pos += 1
-    return rule, data, pos
-
-
 def parse_derivation(text: str) -> Derivation:
-    toks: list[str] = _D_TOKEN.findall(text)
-    # the nodes whose ')' is still to come, innermost last, each with the
-    # premises read so far
+    """Read a derivation in one pass of `_SCAN`, the nodes still open on a
+    stack. Formula fields are parsed once per distinct text in the file;
+    formulas are frozen, so the nodes share them."""
+    formulas: dict[str, Formula] = {}
+    # the nodes whose ')' is still to come, innermost last, each with its
+    # fields and the premises read so far
     open_nodes: list[tuple[str, list[tuple[str, object]], list[Derivation]]] = []
-    pos = 0
-    while True:
-        if not open_nodes or (pos < len(toks) and toks[pos] == "("):
-            rule, data, pos = _parse_head(toks, pos)
-            open_nodes.append((rule, data, []))
-            continue
-        if pos >= len(toks) or toks[pos] != ")":
-            raise DerivationSyntaxError(f"expected ')' at token {pos}")
-        pos += 1
-        rule, data, premises = open_nodes.pop()
-        try:
-            d = Derivation(rule, tuple(data), tuple(premises))
-        except ValueError as e:
-            raise DerivationSyntaxError(str(e)) from None
-        if not open_nodes:
-            break
-        open_nodes[-1][2].append(d)
-    if pos != len(toks):
-        raise DerivationSyntaxError("trailing input after derivation")
-    return d
+    data: list[tuple[str, object]] = []  # the fields of the innermost open node
+    in_head = False  # after a rule tag, fields and one annotation may follow
+    units = _SCAN.findall(text)
+    for k, (brace, key, word, rest, end, close, paren, tag, other) in enumerate(units):
+        if brace and in_head:
+            if key in _FORMULA_KEYS and (word or end):
+                value = word or rest
+                form = formulas.get(value)
+                if form is None:
+                    form = formulas[value] = _field_formula(key, value)
+                data.append((key, form))
+            elif word:
+                data.append((key, (word,) if key in _LIST_KEYS else word))
+            else:
+                data.append(_words_field(text, k, key, rest, end))
+        elif close and open_nodes:
+            for _ in range(close.count(")")):
+                if not open_nodes:
+                    raise DerivationSyntaxError("trailing input after derivation")
+                rule, fields, premises = open_nodes.pop()
+                try:
+                    d = Derivation(rule, tuple(fields), tuple(premises))
+                except ValueError as e:
+                    raise DerivationSyntaxError(str(e)) from None
+                if open_nodes:
+                    open_nodes[-1][2].append(d)
+            if not open_nodes:
+                if k + 1 < len(units):
+                    raise DerivationSyntaxError("trailing input after derivation")
+                return d
+            in_head = False
+        elif paren:
+            if tag not in RULE_ARITY:
+                i = _unit(text, k).end()
+                raise DerivationSyntaxError(
+                    f"unknown rule tag {tag or (text[i] if i < len(text) else None)!r}")
+            data = []
+            open_nodes.append((tag, data, []))
+            in_head = True
+        elif other[:1] == "[" and in_head:  # an annotation
+            if other[-1] != "]":
+                raise DerivationSyntaxError("unterminated judgement annotation")
+            in_head = False
+        elif open_nodes:
+            raise DerivationSyntaxError(
+                f"expected ')' at token {_token_index(text, _unit(text, k).start())}")
+        else:
+            raise DerivationSyntaxError("expected '(' at token 0")
+    if not open_nodes:
+        raise DerivationSyntaxError("expected '(' at token 0")
+    raise DerivationSyntaxError(f"expected ')' at token {_token_index(text, len(text))}")
+
+
+def _words_field(text: str, k: int, key: str, rest: str, end: str) -> tuple[str, object]:
+    """Unit `k` of `text`, a field, when it is not a formula's and not one plain
+    word: its key and the value of a `bang` list or of a one-word field."""
+    if not end:
+        raise DerivationSyntaxError("unterminated field")
+    if not key:
+        if not rest:
+            at = _token_index(text, _unit(text, k).end() - 1)
+            raise DerivationSyntaxError(f"empty field at token {at}")
+        key, rest = rest[0], rest[1:]  # a bracket is a word of its own
+    words = _WORD.findall(rest)
+    if key in _LIST_KEYS:
+        return key, tuple(words)
+    if len(words) != 1:
+        raise DerivationSyntaxError(f"field {key!r} takes one value")
+    return key, words[0]
+
+
+def _unit(text: str, k: int) -> re.Match:
+    """The k-th match of `_SCAN` in `text`, for messages."""
+    return list(_SCAN.finditer(text))[k]
+
+
+def _field_formula(key: str, value: str) -> Formula:
+    """Parse a formula field. A message that quotes the field quotes its
+    words joined by single blanks, which hold the same formula tokens, so
+    it reads the same however the field is spaced."""
+    try:
+        return parse_formula(value)
+    except FormulaSyntaxError:
+        words = " ".join(_WORD.findall(value))
+    try:
+        return parse_formula(words)  # raises as `value` did
+    except FormulaSyntaxError as e:
+        raise DerivationSyntaxError(f"field {key!r}: {e}") from None
+
+
+def _token_index(text: str, offset: int) -> int:
+    """How many words and brackets come before `offset`, for messages."""
+    return len(_WORD.findall(text, 0, offset))

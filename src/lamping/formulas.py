@@ -3,6 +3,12 @@
 Grammar: `A ::= ident | A '-o' A | '!'A | '$'A | 'forall' a '.' A | 'mu' a '.' A`
 where `$` is the light-logic paragraph modality (LAL mode only) and
 `-o` associates to the right.
+
+`parse_formula` keeps an explicit stack, so a formula's depth in the
+input is limited by memory. The other functions here (`show_formula`,
+`formula_eq`, `subst_formula`, `free_type_vars`, `erase_para`,
+`contains_para`, `unfold_mu`) and the dataclasses' `==`, `hash` and
+`repr` recurse once per level of a formula.
 """
 
 from __future__ import annotations
@@ -57,76 +63,81 @@ class Mu:
 
 Formula = Atom | Lolli | Bang | Para | Forall | Mu
 
-_TOKEN = re.compile(r"\s*(-o|forall|mu|[a-zA-Z][a-zA-Z0-9_]*|[!$().])")
-
-
-def _tokenize(text: str) -> list[str]:
-    toks, i = [], 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise FormulaSyntaxError(f"bad formula token at {text[i:]!r}")
-            break
-        toks.append(m.group(1))
-        i = m.end()
-    return toks
+# A formula's tokens; a character that starts none of them is a token of
+# its own, which no parse consumes.
+_TOKEN = re.compile(r"\s*(-o|forall|mu|[a-zA-Z][a-zA-Z0-9_]*|[!$().]|\S)")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_BINDERS = {"forall": Forall, "mu": Mu}
 
 
 def parse_formula(text: str) -> Formula:
-    toks = _tokenize(text)
-    pos = 0
+    """Parse one formula, shift-reduce on an explicit stack, so its depth
+    is limited by memory, not by Python's recursion limit.
 
-    def peek() -> str | None:
-        return toks[pos] if pos < len(toks) else None
+    The stack holds the frames still waiting for their operand, innermost
+    last: `Bang` or `Para` for a prefix `!` or `$`, (cls, x) for `forall x.`,
+    `mu x.` or the left operand x of `-o` (each builds `cls(x, operand)`),
+    and None for an open parenthesis. A binder's body and the right of
+    `-o` extend as far right as they can, so `-o` is right-associative."""
+    toks = _TOKEN.findall(text)
+    n = len(toks)
+    stack: list = []
+    i = 0
+    while True:
+        # a formula starts: binders, then prefixes, then '(' or an atom
+        tok = toks[i] if i < n else None
+        while tok in _BINDERS:
+            var = toks[i + 1] if i + 1 < n else None
+            if var is None or var[0] not in _LETTERS:
+                raise _syntax_error(text, f"expected type variable after {tok}")
+            dot = toks[i + 2] if i + 2 < n else None
+            if dot != ".":
+                raise _syntax_error(text, f"expected '.', got {dot!r}")
+            stack.append((_BINDERS[tok], var))
+            i += 3
+            tok = toks[i] if i < n else None
+        while tok == "!" or tok == "$":
+            stack.append(Bang if tok == "!" else Para)
+            i += 1
+            tok = toks[i] if i < n else None
+        if tok == "(":
+            stack.append(None)
+            i += 1
+            continue
+        if tok is None or tok[0] not in _LETTERS or tok in _BINDERS:
+            raise _syntax_error(text, f"unexpected token {tok!r}")
+        f: Formula = Atom(tok)
+        i += 1
+        while True:
+            # a unary formula ends: apply its prefixes
+            while stack and (stack[-1] is Bang or stack[-1] is Para):
+                f = stack.pop()(f)
+            if i < n and toks[i] == "-o":
+                stack.append((Lolli, f))
+                i += 1
+                break
+            # a formula ends: close the binders and arrows waiting for it
+            while stack and stack[-1] is not None:
+                cls, x = stack.pop()
+                f = cls(x, f)
+            if not stack:
+                if i != n:
+                    raise _syntax_error(text, f"trailing formula tokens: {toks[i:]}")
+                return f
+            stack.pop()
+            if i == n or toks[i] != ")":
+                raise _syntax_error(text, f"expected ')', got {toks[i] if i < n else None!r}")
+            i += 1
 
-    def eat(tok: str) -> None:
-        nonlocal pos
-        if peek() != tok:
-            raise FormulaSyntaxError(f"expected {tok!r}, got {peek()!r}")
-        pos += 1
 
-    def parse() -> Formula:
-        nonlocal pos
-        if peek() in ("forall", "mu"):
-            kw = toks[pos]
-            pos += 1
-            var = toks[pos] if peek() and re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", toks[pos]) else None
-            if var is None:
-                raise FormulaSyntaxError(f"expected type variable after {kw}")
-            pos += 1
-            eat(".")
-            body = parse()
-            return Forall(var, body) if kw == "forall" else Mu(var, body)
-        left = parse_unary()
-        if peek() == "-o":
-            pos += 1
-            return Lolli(left, parse())
-        return left
-
-    def parse_unary() -> Formula:
-        nonlocal pos
-        if peek() == "!":
-            pos += 1
-            return Bang(parse_unary())
-        if peek() == "$":
-            pos += 1
-            return Para(parse_unary())
-        if peek() == "(":
-            pos += 1
-            f = parse()
-            eat(")")
-            return f
-        tok = peek()
-        if tok is None or not re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", tok) or tok in ("forall", "mu"):
-            raise FormulaSyntaxError(f"unexpected token {tok!r}")
-        pos += 1
-        return Atom(tok)
-
-    f = parse()
-    if pos != len(toks):
-        raise FormulaSyntaxError(f"trailing formula tokens: {toks[pos:]}")
-    return f
+def _syntax_error(text: str, reason: str) -> FormulaSyntaxError:
+    """The error for a text that does not parse: the first character that
+    starts no token, else `reason`, where the parse stopped."""
+    for m in _TOKEN.finditer(text):
+        tok = m.group(1)
+        if tok[0] not in _LETTERS and tok not in ("-o", "!", "$", "(", ")", "."):
+            return FormulaSyntaxError(f"bad formula token at {text[m.start():]!r}")
+    return FormulaSyntaxError(reason)
 
 
 def show_formula(f: Formula) -> str:

@@ -8,9 +8,9 @@ Terms are immutable, so a node's free variables are computed once and
 kept on the node, outside the dataclass fields (`==`, `hash` and `repr`
 ignore them). Substitution uses them to return every subterm without
 the variable as it is, so its work follows the paths to the
-occurrences. `show_term`, `free_vars`, `term_size`, `alpha_eq`,
-`is_normal` and the normalizer use explicit stacks; substitution recurses
-once per level of the path to an occurrence.
+occurrences. `parse_term`, `show_term`, `free_vars`, `term_size`,
+`alpha_eq`, `is_normal` and the normalizer use explicit stacks;
+substitution recurses once per level of the path to an occurrence.
 """
 
 from __future__ import annotations
@@ -77,8 +77,13 @@ _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 def parse_term(text: str) -> Term:
     """Parse `\\x.body | f a b | (t)`; application is left-associative and
-    an abstraction body extends as far right as possible."""
-    pos = 0
+    an abstraction body extends as far right as possible.
+
+    The parse keeps an explicit stack, so nesting is limited by memory,
+    not by Python's recursion limit. A frame waits for a term: the binder
+    name of a `\\name.` waiting for its body, or, for a '(' waiting for
+    its inside, the application the parenthesised term extends (None when
+    it is the application's first atom)."""
     n = len(text)
 
     def skip_ws(i: int) -> int:
@@ -86,50 +91,55 @@ def parse_term(text: str) -> Term:
             i += 1
         return i
 
-    def parse(i: int) -> tuple[Term, int]:
+    stack: list[str | tuple[Term | None]] = []
+    head: Term | None = None  # the application read so far
+    i = 0
+    term_starts = True
+    while True:
         i = skip_ws(i)
-        if i < n and text[i] in "\\λ":
+        if term_starts and i < n and text[i] in "\\λ":
             m = _IDENT.match(text, skip_ws(i + 1))
             if not m:
                 raise TermSyntaxError("expected identifier after lambda", i + 1)
             j = skip_ws(m.end())
             if j >= n or text[j] != ".":
                 raise TermSyntaxError("expected '.' after binder", j)
-            body, j = parse(j + 1)
-            return Abs(m.group(), body), j
-        return parse_app(i)
-
-    def parse_app(i: int) -> tuple[Term, int]:
-        t, i = parse_atom(i)
-        while True:
-            j = skip_ws(i)
-            if j < n and (text[j] == "(" or _IDENT.match(text, j)):
-                u, i = parse_atom(j)
-                t = App(t, u)
-            else:
-                break
-        return t, i
-
-    def parse_atom(i: int) -> tuple[Term, int]:
-        i = skip_ws(i)
+            stack.append(m.group())
+            i = j + 1
+            continue
+        # an atom: a variable, or a term in '(' ')'
         if i >= n:
             raise TermSyntaxError("unexpected end of input", i)
         if text[i] == "(":
-            t, j = parse(i + 1)
-            j = skip_ws(j)
-            if j >= n or text[j] != ")":
-                raise TermSyntaxError("expected ')'", j)
-            return t, j + 1
+            stack.append((head,))
+            head = None
+            i += 1
+            term_starts = True
+            continue
         m = _IDENT.match(text, i)
         if not m:
             raise TermSyntaxError(f"unexpected character {text[i]!r}", i)
-        return Var(m.group()), m.end()
-
-    t, i = parse(0)
-    i = skip_ws(i)
-    if i != n:
-        raise TermSyntaxError("trailing input", i)
-    return t
+        t: Term = Var(m.group())
+        i = m.end()
+        while True:
+            head = t if head is None else App(head, t)
+            j = skip_ws(i)
+            if j < n and (text[j] == "(" or _IDENT.match(text, j)):
+                break  # the application goes on
+            # the term ends: close the binders waiting for it
+            t, head = head, None
+            while stack and isinstance(stack[-1], str):
+                t = Abs(stack.pop(), t)
+            if not stack:
+                if j != n:
+                    raise TermSyntaxError("trailing input", j)
+                return t
+            (head,) = stack.pop()  # and the '(' around it
+            if j >= n or text[j] != ")":
+                raise TermSyntaxError("expected ')'", j)
+            i = j + 1
+        i = j
+        term_starts = False
 
 
 def show_term(t: Term) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import lamping.cli
 import lamping.derivations
 import lamping.semantics
 from lamping.cli import main
@@ -216,6 +217,26 @@ def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, tmp_pat
     assert len(calls) == checks
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"], ["run", "--strategy", "pn-mlbl"], ["check"], ["check", "--annotate"],
+    ["trace", "--edge", "f", "--ctx", "|pq"],
+], ids=["run", "run-pn", "check", "check-annotate", "trace"])
+def test_each_command_parses_its_file_once(monkeypatch, capsys, argv):
+    """One `lamping.cli.parse_derivation` call per command, the call that
+    the benchmark times as the parse."""
+    calls = []
+    parse = lamping.cli.parse_derivation
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(lamping.cli, "parse_derivation", counting)
+    code, _, _ = _run(argv[:1] + [RUNNING] + argv[1:], capsys)
+    assert code == 0
+    assert calls == [Path(RUNNING).read_text()]
+
+
 def test_pn_mlbl_reports_graph_bounds_as_not_applicable(capsys):
     """The step and size bounds are about sharing-graph rewriting, which
     the pn-mlbl route does not do; it must not pass them vacuously."""
@@ -269,8 +290,9 @@ def test_malformed_fields_rejected_under_optimize(tmp_path, text):
 
 def test_deeply_nested_input_is_an_input_error(tmp_path):
     """Derivations are walked with explicit stacks, so 1000 nested
-    weakenings check and run. Formulas still recurse once per level: a
-    type under 3000 `!` is an input error, not a traceback."""
+    weakenings check and run. A type under 3000 `!` parses, but the EAL
+    check's `contains_para` recurses once per level of it and runs out of
+    Python's recursion limit: an input error, not a traceback."""
     weakenings = "(A {var x} {ty a})"
     for i in range(1000):
         weakenings = f"(W {{var y{i}}} {{ty a}} {weakenings})"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lamping.terms
+import reference_parsers
 from lamping.derivations import check_derivation
 from lamping.terms import (
     Abs, App, FuelExhausted, NotNormal, TermSyntaxError, Var, alpha_eq,
@@ -42,6 +43,50 @@ def test_parse_error_carries_position():
     with pytest.raises(TermSyntaxError) as e:
         parse_term("\\x.")
     assert e.value.pos == 3
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except TermSyntaxError as e:
+        return str(e), e.pos
+
+
+def test_parse_matches_the_recursive_parser():
+    """20000 seeded strings over the grammar's characters: the same term,
+    or the same message at the same position."""
+    rng = random.Random(0)
+    pieces = ["\\", "λ", "x", "y", "f", " ", ".", "(", ")", "ab", "\n", "1", "#"]
+    accepted = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(14)))
+        expected = _parse_outcome(reference_parsers.parse_term, text)
+        assert _parse_outcome(parse_term, text) == expected, text
+        accepted += expected[0] == "ok"
+    assert accepted > 1000
+
+
+def test_parse_reads_deep_nesting_at_the_default_recursion_limit():
+    """1500 nested parentheses and 1500 nested abstractions parse without
+    recursion and print back; an unclosed one fails where it did."""
+    apps = "(f " * 1500 + "x" + ")" * 1500
+    binders = "".join(f"\\x{i}." for i in range(1500)) + "x0"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = parse_term(apps)
+        u = parse_term(binders)
+        same = _same(parse_term("(" * 1500 + "x" + ")" * 1500), Var("x"))
+        t_text, u_text = show_term(t), show_term(u)
+        t_back, u_back = _same(parse_term(t_text), t), _same(parse_term(u_text), u)
+        with pytest.raises(TermSyntaxError) as e:
+            parse_term("(" * 1500 + "x")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same and t_back and u_back
+    assert t_text == "f (" * 1499 + "f x" + ")" * 1499
+    assert u_text == binders
+    assert e.value.pos == 1501
 
 
 def test_beta_single_step():
