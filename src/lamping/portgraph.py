@@ -11,20 +11,24 @@ go, so callers read `cuts` directly and never scan the wires. A graph
 whose `cut_log` is a list (proof-nets) also gets every cut that `link`
 makes or `unlink` drops appended to it, for a reader that follows only
 what changed; elsewhere (sharing graphs) it is None and nothing is
-logged. The rewrite
-primitives are shared too: `splice`, `remove_node`, and `annihilate`, the
-one interaction rule on a cut. `ROLES` says how the token machine crosses
-each kind: `mult` and `exp` nodes push or pop one symbol on the
-multiplicative or on an exponential stack, `id` nodes pass the token
-through unchanged, and `none` nodes stop it.
+logged. The rewrite primitives are shared too: `splice`, `remove_node`,
+and `annihilate`, the one interaction rule on a cut. So is the loop that
+drives them: `reduce` fires cuts one at a time until its `pick` finds
+none, and the two routes differ only in the `pick` and the `step` they
+pass it. `ROLES` says how the token machine crosses each kind: `mult`
+and `exp` nodes push or pop one symbol on the multiplicative or on an
+exponential stack, `id` nodes pass the token through unchanged, and
+`none` nodes stop it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Any, Callable
 
-__all__ = ["End", "PortGraph", "to_dot"]
+from .terms import FuelExhausted
+
+__all__ = ["End", "PortGraph", "reduce", "to_dot"]
 
 End = tuple  # ("n", node_id, port) | ("c", label)
 
@@ -147,6 +151,24 @@ class PortGraph:
     def machine_role(self, nid: int) -> tuple:
         """("mult" | "exp", principal, p-port, q-port), ("id", out, in) or ("none",)."""
         return self._roles[self.nodes[nid]]
+
+
+def reduce(g: PortGraph, pick: Callable[[PortGraph], Any],
+           step: Callable[[PortGraph, Any], Any], fuel: int, on_step: Callable[[Any], None] | None = None) -> int:
+    """Fire the cut `pick(g)` chooses with `step(g, cut)`, handing each
+    step's result to `on_step`, until `pick` returns None; returns the
+    number of steps. A step past `fuel` raises `FuelExhausted` before it
+    fires; `pick` runs first, so a graph with no cut to pick returns 0
+    steps even at fuel 0."""
+    steps = 0
+    while (cut := pick(g)) is not None:
+        if steps == fuel:
+            raise FuelExhausted(f"normalization exceeded {fuel} steps")
+        result = step(g, cut)
+        if on_step is not None:
+            on_step(result)
+        steps += 1
+    return steps
 
 
 def to_dot(g: PortGraph, name: str, shape: str, label: Callable[[int], str],

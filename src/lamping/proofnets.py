@@ -11,6 +11,8 @@ copies a box, is written here. It keeps the box in place as the first
 copy and adds one fresh copy, and a merge hands the inner box's index to
 its host, so a step touches only the nodes it rewrites. `find_cuts` keeps
 the live cuts ranked by depth, reading only the cuts the steps logged.
+`normalize_mlbl` is the port-graph core's `reduce`, picking
+`next_cut_mlbl`, the level-by-level choice.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-# the benchmark's tracer wraps check_annotated here until ROADMAP item 1 moves the wrap points
+# the benchmark's tracer wraps check_annotated here until ROADMAP item 2 moves the wrap points
 from .derivations import Derivation, check_annotated, fold_derivation
-from .portgraph import End, PortGraph, to_dot
-from .terms import FuelExhausted
+from .portgraph import End, PortGraph, reduce, to_dot
 
 __all__ = [
     "ProofNet", "Box", "StepReport", "MalformedNet",
-    "build_proofnet", "find_cuts", "reduce_step_pn", "normalize_mlbl",
+    "build_proofnet", "find_cuts", "reduce_step_pn", "next_cut_mlbl", "normalize_mlbl",
     "is_special_box", "net_depth", "edge_depth", "check_lal_boxes",
     "proofnet_dot",
 ]
@@ -444,6 +445,22 @@ def is_special_box(net: ProofNet, box: Box) -> bool:
     return True
 
 
+def next_cut_mlbl(net: ProofNet) -> tuple[End, End] | None:
+    """The level-by-level choice: the first cut at the lowest depth, skipping
+    the contraction of a box that is not special; None when no cut is left."""
+    cuts = find_cuts(net)
+    if not cuts:
+        return None
+    level = net.cut_depth[cuts[0]]
+    for cut in cuts:
+        if net.cut_depth[cut] != level:
+            break
+        kind, _na, nb = _cut_kind(net, cut)
+        if kind != "contract" or is_special_box(net, net.boxes[nb]):
+            return cut
+    raise MalformedNet("no reducible cut at the minimal level")
+
+
 def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
                    labelling=None) -> tuple[ProofNet, int]:
     """Level-by-level normalization; a box is only copied when special.
@@ -451,30 +468,8 @@ def normalize_mlbl(net: ProofNet, fuel: int = 10 ** 5,
     Mutates the net in place; when a labelling is given, each step's
     report carries its mapping over in place (`Labelling.carry`).
     """
-    steps = 0
-    while True:
-        cuts = find_cuts(net)
-        if not cuts:
-            return net, steps
-        if steps == fuel:
-            raise FuelExhausted(f"normalization exceeded {fuel} steps")
-        level = net.cut_depth[cuts[0]]
-        chosen = None
-        for cut in cuts:
-            if net.cut_depth[cut] != level:
-                break
-            kind, _na, nb = _cut_kind(net, cut)
-            if kind == "contract":
-                if not is_special_box(net, net.boxes[nb]):
-                    continue
-            chosen = cut
-            break
-        if chosen is None:
-            raise MalformedNet("no reducible cut at the minimal level")
-        report = reduce_step_pn(net, chosen)
-        if labelling is not None:
-            labelling.carry(report)
-        steps += 1
+    carry = labelling.carry if labelling is not None else None
+    return net, reduce(net, next_cut_mlbl, reduce_step_pn, fuel, carry)
 
 
 def check_lal_boxes(net: ProofNet) -> None:

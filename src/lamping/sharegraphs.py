@@ -5,19 +5,19 @@ relation has five rules: lambda/app annihilation (beta), same-index fan
 annihilation, and three copy rules (fan against lambda, app, or a fan
 of a different index). Eraser cuts are inert: there are no garbage
 collection rules, and leaving garbage in place is harmless. Both
-annihilations are the port-graph core's `annihilate`.
+annihilations are the port-graph core's `annihilate`. `normalize_sg` is
+the core's `reduce`, picking `next_cut_sg`, the lowest non-eraser cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .portgraph import End, PortGraph, to_dot
-from .terms import FuelExhausted
+from .portgraph import End, PortGraph, reduce, to_dot
 
 __all__ = [
     "SharingGraph", "SGStats", "MalformedGraph", "EraserCut",
-    "find_cuts_sg", "reduce_step_sg", "normalize_sg",
+    "find_cuts_sg", "next_cut_sg", "reduce_step_sg", "normalize_sg",
     "count_maximal_paths", "canonical_form", "graph_dump", "graph_dot",
 ]
 
@@ -81,6 +81,11 @@ def _is_eraser_cut(g: SharingGraph, cut: tuple[End, End]) -> bool:
     return g.nodes[cut[0][1]] == "era" or g.nodes[cut[1][1]] == "era"
 
 
+def next_cut_sg(g: SharingGraph) -> tuple[End, End] | None:
+    """The lowest non-eraser cut, or None when only eraser cuts are left."""
+    return next((c for c in find_cuts_sg(g) if not _is_eraser_cut(g, c)), None)
+
+
 def reduce_step_sg(g: SharingGraph, cut: tuple[End, End]) -> str:
     """Fire one cut in place; returns 'annihilation' or 'copy'."""
     if cut not in g.cuts:
@@ -136,19 +141,16 @@ def _copy_through(g: SharingGraph, fan: int, other: int) -> None:
 def normalize_sg(g: SharingGraph, fuel: int = 10 ** 5) -> tuple[SharingGraph, SGStats]:
     """Reduce until only eraser cuts remain, lowest node-id cut first."""
     stats = SGStats(peak_size=g.size())
-    while True:
-        cut = next((c for c in find_cuts_sg(g) if not _is_eraser_cut(g, c)), None)
-        if cut is None:
-            return g, stats
-        if stats.steps == fuel:
-            raise FuelExhausted(f"normalization exceeded {fuel} steps")
-        kind = reduce_step_sg(g, cut)
-        stats.steps += 1
+
+    def tally(kind: str) -> None:
         if kind == "annihilation":
             stats.annihilations += 1
         else:
             stats.copies += 1
         stats.peak_size = max(stats.peak_size, g.size())
+
+    stats.steps = reduce(g, next_cut_sg, reduce_step_sg, fuel, tally)
+    return g, stats
 
 
 # ---------------------------------------------------------------------------

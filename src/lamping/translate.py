@@ -16,7 +16,7 @@ from .sharegraphs import SharingGraph
 __all__ = [
     "Labelling", "IncompatibleLabelling",
     "labelling_lt", "labelling_dlt", "check_compatible",
-    "translate", "induced_labelling",
+    "translate",
 ]
 
 
@@ -124,14 +124,3 @@ def translate(net: ProofNet, lab: Labelling) -> SharingGraph:
                 g.link(src, dst)
     g.free_ports = list(net.conclusions)
     return g
-
-
-def induced_labelling(net: ProofNet, lab: Labelling, step: StepReport) -> Labelling:
-    """The labelling `lab` carried across one step of `net`, as a copy:
-    surviving contractions keep their index, box copies inherit from the
-    node they copy, and the contractions introduced at the copied doors
-    take the resolved node's index (`Labelling.carry`). Depth
-    compatibility is preserved."""
-    out = Labelling(dict(lab.mapping), k=lab.k)
-    out.carry(step)
-    return out

@@ -10,6 +10,7 @@ import time
 from lamping.corpus import build
 from lamping.derivations import derivation_subject
 from lamping.pipeline import prepared_graph, run_pipeline
+from lamping.portgraph import reduce
 from lamping.proofnets import find_cuts
 from lamping.readback import readback_term
 from lamping.semantics import (
@@ -17,15 +18,10 @@ from lamping.semantics import (
     semantics_table, weight,
 )
 from lamping.sharegraphs import (
-    canonical_form, count_maximal_paths, find_cuts_sg, normalize_sg,
+    canonical_form, count_maximal_paths, find_cuts_sg, next_cut_sg, normalize_sg,
     reduce_step_sg,
 )
 from lamping.terms import alpha_eq, beta_normalize, parse_term
-
-
-def _non_eraser_cuts(g):
-    return [c for c in find_cuts_sg(g)
-            if g.nodes[c[0][1]] != "era" and g.nodes[c[1][1]] != "era"]
 
 
 def test_criterion_1_running_example_end_to_end(corpus_graphs):
@@ -40,7 +36,7 @@ def test_criterion_1_running_example_end_to_end(corpus_graphs):
     assert canonical_form(g) == canonical_form(_fig9a_expected())
     g = copy.deepcopy(g)
     g, _ = normalize_sg(g)
-    assert not _non_eraser_cuts(g)
+    assert next_cut_sg(g) is None
     assert canonical_form(g) == canonical_form(_fig9b_expected())
     assert alpha_eq(stats.readback, parse_term("f (\\z.g z) (\\z.g z)"))
     assert stats.verdict
@@ -72,15 +68,12 @@ def test_criterion_3_semantics_invariance(corpus):
     for name, (mode, d) in corpus.items():
         for translation in ("lt", "dlt"):
             net, lab, g = prepared_graph(d, mode, translation)
-            assert semantics_table(net, lab, 4) == semantics_table(g, lab, 4), \
-                (name, translation)
-            while True:
-                cuts = _non_eraser_cuts(g)
-                if not cuts:
-                    break
-                before = semantics_table(g, lab, 4)
-                reduce_step_sg(g, cuts[0])
-                assert semantics_table(g, lab, 4) == before, (name, translation)
+            table = semantics_table(net, lab, 4)
+            assert semantics_table(g, lab, 4) == table, (name, translation)
+
+            def check(_kind):
+                assert semantics_table(g, lab, 4) == table, (name, translation)
+            reduce(g, next_cut_sg, reduce_step_sg, 10 ** 5, check)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(f"criterion 3: PASS ({elapsed:.2f}s)")
@@ -94,14 +87,13 @@ def test_criterion_4_weight_ledger_and_bounds(corpus):
         if g.size() <= 12:
             h = copy.deepcopy(g)
             w = weight(h, lab).total
-            while True:
-                cuts = _non_eraser_cuts(h)
-                if not cuts:
-                    break
-                kind = reduce_step_sg(h, cuts[0])
+
+            def ledger(kind):
+                nonlocal w
                 w2 = weight(h, lab).total
                 assert w2 - w == (0 if kind == "annihilation" else -2), (name, kind)
                 w = w2
+            reduce(h, next_cut_sg, reduce_step_sg, 10 ** 5, ledger)
         if not find_cuts(net):
             assert weight(g, lab).total == 0, name
         w0 = weight(g, lab).total

@@ -5,9 +5,10 @@ import pytest
 from lamping.corpus import build
 from lamping.derivations import ax, bang, cut, lam, llolli
 from lamping.formulas import Atom, Lolli
+from lamping.portgraph import reduce
 from lamping.proofnets import (
     build_proofnet, check_lal_boxes, edge_depth, find_cuts, is_special_box,
-    net_depth, normalize_mlbl, proofnet_dot, reduce_step_pn,
+    net_depth, next_cut_mlbl, normalize_mlbl, proofnet_dot, reduce_step_pn,
 )
 
 A = Atom("a")
@@ -101,31 +102,15 @@ def test_contraction_step_duplicates_box(corpus_graphs):
 def test_stratification_depths_preserved(corpus_graphs):
     for name, (_, net, _, _) in corpus_graphs.items():
         net = copy.deepcopy(net)
-        while True:
-            cuts = find_cuts(net)
-            if not cuts:
-                break
-            before = {e: edge_depth(net, e) for e in net.edges()}
-            # fire the first MLBL-eligible cut
-            _mlbl_one_step(net)
-            for e in net.edges():
-                if e in before:
-                    assert edge_depth(net, e) == before[e], (name, e)
+        before = {e: edge_depth(net, e) for e in net.edges()}
 
-
-def _mlbl_one_step(net):
-    from lamping.proofnets import _cut_kind
-    cuts = find_cuts(net)
-    level = edge_depth(net, cuts[0])
-    for c in cuts:
-        if edge_depth(net, c) != level:
-            break
-        kind, _, nb = _cut_kind(net, c)
-        if kind == "contract":
-            if not is_special_box(net, net.boxes[nb]):
-                continue
-        return reduce_step_pn(net, c)
-    raise AssertionError("no eligible cut")
+        def check(_report):
+            nonlocal before
+            after = {e: edge_depth(net, e) for e in net.edges()}
+            for e in after.keys() & before.keys():
+                assert after[e] == before[e], (name, e)
+            before = after
+        reduce(net, next_cut_mlbl, reduce_step_pn, 10 ** 5, check)
 
 
 def test_mlbl_terminates_cut_free(corpus_graphs):
@@ -181,9 +166,7 @@ def test_lal_box_invariants_through_reduction(corpus_graphs):
             continue
         net = copy.deepcopy(net)
         check_lal_boxes(net)
-        while find_cuts(net):
-            _mlbl_one_step(net)
-            check_lal_boxes(net)
+        reduce(net, next_cut_mlbl, reduce_step_pn, 10 ** 5, lambda _: check_lal_boxes(net))
 
 
 def test_nonsimple_paths_contain_shallow_cut(corpus_graphs):

@@ -6,15 +6,16 @@ import pytest
 
 import lamping.semantics
 from lamping.pipeline import prepared_graph
-from lamping.proofnets import find_cuts, reduce_step_pn
+from lamping.portgraph import reduce
+from lamping.proofnets import find_cuts, next_cut_mlbl, reduce_step_pn
 from lamping.readback import readback_term
 from lamping.semantics import (
     Reached, Stuck, TokenState, check_acyclicity, empty_ctx, minimal_contexts,
     parse_ctx, run_token, semantics_table, step_token, token_moves, weight,
 )
-from lamping.sharegraphs import SharingGraph, find_cuts_sg, normalize_sg, reduce_step_sg
+from lamping.sharegraphs import SharingGraph, find_cuts_sg, normalize_sg
 from lamping.terms import FuelExhausted
-from lamping.translate import Labelling, induced_labelling
+from lamping.translate import Labelling
 from test_tower import tower
 from test_weight_golden import _structures, church_identity
 
@@ -108,48 +109,20 @@ def test_translation_preserves_table_lt(corpus):
         assert semantics_table(net, lab, 4) == semantics_table(g, lab, 4), name
 
 
-def test_each_graph_step_preserves_table(corpus_graphs):
-    for name, (_, _, lab, g) in corpus_graphs.items():
-        g = copy.deepcopy(g)
-        while True:
-            cuts = [c for c in find_cuts_sg(g)
-                    if g.nodes[c[0][1]] != "era" and g.nodes[c[1][1]] != "era"]
-            if not cuts:
-                break
-            before = semantics_table(g, lab, 4)
-            reduce_step_sg(g, cuts[0])
-            assert semantics_table(g, lab, 4) == before, name
-
-
-def _mlbl_step(net, lab):
-    from lamping.proofnets import _cut_kind, edge_depth, is_special_box
-    cuts = find_cuts(net)
-    level = edge_depth(net, cuts[0])
-    for c in cuts:
-        if edge_depth(net, c) != level:
-            break
-        kind, _, nb = _cut_kind(net, c)
-        if kind == "contract":
-            if not is_special_box(net, net.boxes[nb]):
-                continue
-        return reduce_step_pn(net, c)
-    raise AssertionError("no eligible cut")
-
-
 def test_net_steps_weakly_preserve_table(corpus_graphs):
     """Every entry of the reduct's bounded table evaluates identically in
     the net it came from."""
     for name, (_, net, lab, _) in corpus_graphs.items():
-        net = copy.deepcopy(net)
-        lab = copy.deepcopy(lab)
-        while find_cuts(net):
-            before_net = copy.deepcopy(net)
-            before_lab = copy.deepcopy(lab)
-            rep = _mlbl_step(net, lab)
-            lab = induced_labelling(net, lab, rep)
+        net, lab = copy.deepcopy((net, lab))
+        before = copy.deepcopy((net, lab))
+
+        def check(report):
+            nonlocal before
+            lab.carry(report)
             for (c, ctx), (c2, out) in semantics_table(net, lab, 4):
-                r = run_token(before_net, before_lab, c, ctx)
-                assert r == Reached(c2, out), (name, c, ctx)
+                assert run_token(*before, c, ctx) == Reached(c2, out), (name, c, ctx)
+            before = copy.deepcopy((net, lab))
+        reduce(net, next_cut_mlbl, reduce_step_pn, 10 ** 5, check)
 
 
 def test_minimal_contexts_on_cut_free_graphs(corpus_graphs):
@@ -212,23 +185,6 @@ def test_inert_eraser_cut_carries_residual_weight(corpus_graphs):
     normalize_sg(g)
     assert len(find_cuts_sg(g)) == 1
     assert weight(g, lab).total == 1
-
-
-def test_weight_ledger_per_step(corpus_graphs):
-    for name, (_, _, lab, g) in corpus_graphs.items():
-        if g.size() > 12:
-            continue
-        g = copy.deepcopy(g)
-        w = weight(g, lab).total
-        while True:
-            cuts = [c for c in find_cuts_sg(g)
-                    if g.nodes[c[0][1]] != "era" and g.nodes[c[1][1]] != "era"]
-            if not cuts:
-                break
-            kind = reduce_step_sg(g, cuts[0])
-            w2 = weight(g, lab).total
-            assert w2 - w == (0 if kind == "annihilation" else -2), (name, kind)
-            w = w2
 
 
 def test_step_and_size_bounds(corpus_graphs):

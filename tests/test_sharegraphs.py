@@ -7,11 +7,12 @@ from lamping.corpus import CORPUS, build
 from lamping.derivations import ax, cut, lam, llolli
 from lamping.formulas import Atom
 from lamping.pipeline import prepared_graph
+from lamping.portgraph import reduce
 from lamping.readback import readback_term
 from lamping.semantics import weight
 from lamping.sharegraphs import (
-    EraserCut, SharingGraph, canonical_form, count_maximal_paths, find_cuts_sg,
-    graph_dot, graph_dump, normalize_sg, reduce_step_sg,
+    EraserCut, SharingGraph, _is_eraser_cut, canonical_form, count_maximal_paths,
+    find_cuts_sg, graph_dot, graph_dump, next_cut_sg, normalize_sg, reduce_step_sg,
 )
 from lamping.terms import alpha_eq
 from test_randomized import Gen, LalGen
@@ -190,18 +191,24 @@ def test_eraser_cut_reported_and_skipped(corpus_graphs):
         reduce_step_sg(g, cuts[0])
 
 
+def _size_ledger(g, where, kinds):
+    """An observer for `reduce`: each step must shrink the graph by two
+    nodes if it annihilates and grow it by two if it copies. Appends each
+    step's kind to `kinds`."""
+    size = g.size()
+
+    def check(kind):
+        nonlocal size
+        assert g.size() - size == (-2 if kind == "annihilation" else 2), where
+        size = g.size()
+        kinds.append(kind)
+    return check
+
+
 def test_size_ledger_per_step(corpus_graphs):
     for name, (_, _, _, g) in corpus_graphs.items():
         g = copy.deepcopy(g)
-        while True:
-            cuts = [c for c in find_cuts_sg(g)
-                    if g.nodes[c[0][1]] != "era" and g.nodes[c[1][1]] != "era"]
-            if not cuts:
-                break
-            before = g.size()
-            kind = reduce_step_sg(g, cuts[0])
-            delta = g.size() - before
-            assert delta == (-2 if kind == "annihilation" else 2), name
+        reduce(g, next_cut_sg, reduce_step_sg, 10 ** 5, _size_ledger(g, name, []))
 
 
 def _any_order_inputs():
@@ -216,19 +223,15 @@ def _any_order_inputs():
         yield f"lalgen{seed}", "lal", LalGen(seed).grow()
 
 
-def _normalize_in_order(g, pick):
-    """Fire the non-eraser cut `pick` chooses until none is left, checking
-    the size ledger at every step; returns (annihilations, copies)."""
-    counts = {"annihilation": 0, "copy": 0}
-    while True:
-        cuts = [c for c in find_cuts_sg(g)
-                if g.nodes[c[0][1]] != "era" and g.nodes[c[1][1]] != "era"]
-        if not cuts:
-            return counts["annihilation"], counts["copy"]
-        before = g.size()
-        kind = reduce_step_sg(g, pick(cuts))
-        assert g.size() - before == (-2 if kind == "annihilation" else 2)
-        counts[kind] += 1
+def _picks(rng):
+    """The any-order test's eight orders among the live non-eraser cuts:
+    highest node id first, then seven seeded uniform draws."""
+    def among(choose):
+        def pick(g):
+            cuts = [c for c in find_cuts_sg(g) if not _is_eraser_cut(g, c)]
+            return choose(cuts) if cuts else None
+        return pick
+    return [among(lambda cuts: cuts[-1])] + [among(rng.choice)] * 7
 
 
 def test_any_order_reaches_the_same_normal_form():
@@ -245,11 +248,12 @@ def test_any_order_reaches_the_same_normal_form():
             form, term = canonical_form(ref), readback_term(ref, lab)
             assert 2 * stats.copies == w0 - weight(ref, lab).total, name
             rng = random.Random(f"{name}/{translation}")
-            for order in range(8):
-                pick = (lambda cuts: cuts[-1]) if order == 0 else rng.choice
+            for order, pick in enumerate(_picks(rng)):
                 h = copy.deepcopy(g)
                 where = (name, translation, order)
-                assert _normalize_in_order(h, pick) == counts, where
+                kinds = []
+                reduce(h, pick, reduce_step_sg, 10 ** 5, _size_ledger(h, where, kinds))
+                assert (kinds.count("annihilation"), kinds.count("copy")) == counts, where
                 assert canonical_form(h) == form, where
                 assert alpha_eq(readback_term(h, lab), term), where
                 assert 2 * stats.copies == w0 - weight(h, lab).total, where

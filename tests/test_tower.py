@@ -311,6 +311,16 @@ def test_budget_one_short_stops_at_the_budget(monkeypatch):
     net, _, g = prepared_graph(tower(k))
     sg = _count_calls(monkeypatch, lamping.sharegraphs, "reduce_step_sg")
     pn = _count_calls(monkeypatch, lamping.proofnets, "reduce_step_pn")
+    # a budget of 0: a cut-free input returns, and tower 1 stops before its first step
+    free_net, _, free_g = prepared_graph(*reversed(build("church2")))
+    assert normalize_sg(free_g, 0)[1].steps == 0
+    assert normalize_mlbl(free_net, 0)[1] == 0
+    net1, _, g1 = prepared_graph(tower(1))
+    with pytest.raises(FuelExhausted, match="exceeded 0 steps"):
+        normalize_sg(g1, 0)
+    with pytest.raises(FuelExhausted, match="exceeded 0 steps"):
+        normalize_mlbl(net1, 0)
+    assert not sg and not pn
     with pytest.raises(FuelExhausted, match=f"exceeded {4 * k - 2} steps"):
         normalize_sg(copy.deepcopy(g), 4 * k - 2)
     assert len(sg) == 4 * k - 2
