@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    lamping check FILE [--mode eal|lal]
+    lamping check FILE [--mode eal|lal] [--annotate]
     lamping run FILE [--mode ...] [--translation lt|dlt] [--strategy sg|pn-mlbl]
                  [--max-steps N] [--probe-depth D] [--dot DIR]
     lamping trace FILE --edge E --ctx "S1|...|Sk|T" [...]
@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         # stacks, but the formula functions past the parser (show_formula,
         # formula_eq, subst_formula, free_type_vars, contains_para,
         # erase_para, the dataclasses' == and hash) and the oracle's
-        # substitution (terms._subst) recurse once per level: the depth
+        # substitution (terms.subst) recurse once per level: the depth
         # of a type in the input, and of a term the oracle substitutes
         # into, is bounded by Python's recursion limit.
         print(f"error: {args.file}: formula or term nested too deeply "

@@ -11,10 +11,11 @@ the conclusion: one top-down pass carries the substitutions that the cut,
 contraction and left-arrow rules make, and renames a binder exactly
 where substituting rule by rule would rename it.
 
-Passes over every node go premises first, through `_premises_first`
-and the fold over it, or through the path-free `_post_order` where no
-error needs a path; the printer and `==` keep their own explicit stacks,
-and the reader keeps its open nodes on one while it scans the text once.
+Passes over every node go premises first, through `_post_order` and the
+fold over it, without paths: a refused rule raises with its reason
+alone, and `_paths`, the one walk that builds paths, finds where it
+sits. The printer and `==` keep their own explicit stacks, and the
+reader keeps its open nodes on one while it scans the text once.
 No walk over a derivation recurses, so its depth is limited by memory,
 not by Python's recursion limit. The formulas in its fields are parsed
 on an explicit stack too, but the other formula functions that the
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .formulas import (
     Atom, Bang, Forall, Formula, FormulaSyntaxError, Lolli, Mu, Para,
     contains_para, erase_para, formula_eq, free_type_vars, parse_formula,
     show_formula, subst_formula, unfold_mu,
 )
-from .terms import Abs, App, Term, Var, free_vars, fresh_name
+from .terms import Abs, App, Term, Var, free_vars, fresh_name, show_term
 
 __all__ = [
     "Derivation", "Sequent", "Judgement", "RuleViolation", "DerivationSyntaxError",
@@ -56,7 +57,7 @@ RULE_ARITY = {
 
 
 class RuleViolation(Exception):
-    def __init__(self, path: tuple[int, ...], reason: str):
+    def __init__(self, reason: str, path: tuple[int, ...] = ()):
         super().__init__(f"at node {'/'.join(map(str, path)) or 'root'}: {reason}")
         self.path = path
         self.reason = reason
@@ -210,33 +211,41 @@ def check_derivation(d: Derivation, mode: str = EAL) -> Judgement:
     seq = _check_all(d, mode, None)
     subject = _subject(d, _subject_free_vars(d), {})
     if not free_vars(subject) <= set(seq.ctx_names()):
-        raise _fail((), "subject uses a variable missing from the context")
+        raise RuleViolation("subject uses a variable missing from the context")
     return Judgement(seq.ctx, seq.type, subject)
 
 
 def check_annotated(d: Derivation, mode: str = EAL) -> dict[tuple[int, ...], Sequent]:
     """check_derivation without the subject, returning the sequent at
     every node keyed by path."""
-    out: dict[tuple[int, ...], Sequent] = {}
+    out: dict[int, Sequent] = {}
     _check_all(d, mode, out)
-    return out
+    return {path: out[id(n)] for path, n in _paths(d)}
 
 
-def _check_all(d: Derivation, mode: str,
-               out: dict[tuple[int, ...], Sequent] | None) -> Sequent:
-    """The one checker. Sequents are kept only when `out` is given:
-    keeping them all holds every node's context alive at once.
+def _check_all(d: Derivation, mode: str, out: dict[int, Sequent] | None) -> Sequent:
+    """The one checker. Sequents are kept, keyed by id(node), only when
+    `out` is given: keeping them all holds every node's context alive at
+    once.
 
     The fold hands each node's result to its parent alone, so a rule owns
     its premises' context dicts and updates them in place; a context
-    becomes a `Sequent` tuple only at the conclusion and in `out`."""
+    becomes a `Sequent` tuple only at the conclusion and in `out`. A
+    refused rule raises with its reason alone, and only then is the
+    node's path looked up. A node that sits at several places fails at
+    the leftmost first, which is also where the pre-order walk meets it
+    first."""
     if mode not in (EAL, LAL):
         raise ValueError(f"mode must be 'eal' or 'lal', got {mode!r}")
 
-    def visit(n: Derivation, path: tuple[int, ...], subs: list[_Open]) -> _Open:
-        j = _apply_rule(n, mode, path, subs)
+    def visit(n: Derivation, subs: list[_Open]) -> _Open:
+        try:
+            j = _apply_rule(n, mode, subs)
+        except RuleViolation as e:
+            path = next(p for p, m in _paths(d) if m is n)
+            raise RuleViolation(e.reason, path) from None
         if out is not None:
-            out[path] = Sequent(tuple(j[0].items()), j[1])
+            out[id(n)] = Sequent(tuple(j[0].items()), j[1])
         return j
 
     ctx, ty = fold_derivation(d, visit)
@@ -383,8 +392,11 @@ def _node_subjects(d: Derivation) -> dict[int, Term]:
 
 
 def _post_order(d: Derivation) -> list[Derivation]:
-    """Every node of d in the order of `_premises_first`, without paths,
-    for the walks that never report where they are."""
+    """Every node of d in post-order, left to right: each node comes after
+    all of its premises, and premise 0's subtree comes before premise 1's.
+    It reverses a pre-order, taken with an explicit stack, that visits
+    premise 1's subtree first. A node that sits at several places comes
+    once for each."""
     order, stack = [], [d]
     while stack:
         n = stack.pop()
@@ -394,33 +406,28 @@ def _post_order(d: Derivation) -> list[Derivation]:
     return order
 
 
-def _premises_first(d: Derivation) -> list[tuple[Derivation, tuple[int, ...]]]:
-    """Every node of d with its path, in post-order, left to right: each
-    node comes after all of its premises, and premise 0's subtree comes
-    before premise 1's. It reverses a pre-order, taken with an explicit
-    stack, that visits premise 1's subtree first."""
-    order, stack = [], [(d, ())]
+def _paths(d: Derivation) -> Iterator[tuple[tuple[int, ...], Derivation]]:
+    """Every node of d with its path, in pre-order, left to right. The one
+    walk that builds paths: for a refused rule's message and for the keys
+    of `check_annotated`."""
+    stack: list[tuple[tuple[int, ...], Derivation]] = [((), d)]
     while stack:
-        item = stack.pop()
-        order.append(item)
-        n, path = item
-        for i, p in enumerate(n.premises):
-            stack.append((p, path + (i,)))
-    order.reverse()
-    return order
+        path, n = stack.pop()
+        yield path, n
+        for i in reversed(range(len(n.premises))):
+            stack.append((path + (i,), n.premises[i]))
 
 
-def fold_derivation(d: Derivation,
-                    visit: Callable[[Derivation, tuple[int, ...], list], Any]) -> Any:
-    """Call visit(node, path, results) at every node of d, premises first,
-    where `results` holds what visit returned for the node's premises, in
+def fold_derivation(d: Derivation, visit: Callable[[Derivation, list], Any]) -> Any:
+    """Call visit(node, results) at every node of d in `_post_order`, where
+    `results` holds what visit returned for the node's premises, in
     premise order, taken from a value stack. Returns the root's result."""
     values: list = []
-    for n, path in _premises_first(d):
+    for n in _post_order(d):
         k = len(values) - len(n.premises)
         subs = values[k:]
         del values[k:]
-        values.append(visit(n, path, subs))
+        values.append(visit(n, subs))
     (result,) = values
     return result
 
@@ -451,177 +458,170 @@ def _subject_free_vars(d: Derivation) -> dict[int, frozenset[str]]:
     return fv
 
 
-def _fail(path: tuple[int, ...], reason: str) -> RuleViolation:
-    return RuleViolation(path, reason)
-
-
-def _field(d: Derivation, path: tuple[int, ...], key: str, kind: Any) -> Any:
+def _field(d: Derivation, key: str, kind: Any) -> Any:
     """The value of field `key`, which must be present and a `kind`."""
     for k, v in d.data:
         if k == key:
             if not isinstance(v, kind):
-                raise _fail(path, f"{d.rule} field {key!r} must be a "
-                                  f"{getattr(kind, '__name__', 'formula')}")
+                raise RuleViolation(f"{d.rule} field {key!r} must be a "
+                                    f"{getattr(kind, '__name__', 'formula')}")
             return v
-    raise _fail(path, f"{d.rule} needs a field {key!r}")
+    raise RuleViolation(f"{d.rule} needs a field {key!r}")
 
 
 # a node's context, which the rule receiving it owns, and its type
 _Open = tuple[dict[str, Formula], Formula]
 
 
-def _ctx_extend(path: tuple[int, ...], ctx: dict[str, Formula],
-                more: dict[str, Formula]) -> dict[str, Formula]:
+def _ctx_extend(ctx: dict[str, Formula], more: dict[str, Formula]) -> dict[str, Formula]:
     """Append `more` to `ctx` in place, failing at the first name of
     `more`, in order, that `ctx` already holds."""
     for n, f in more.items():
         if n in ctx:
-            raise _fail(path, f"duplicate context variable {n!r} when merging contexts")
+            raise RuleViolation(f"duplicate context variable {n!r} when merging contexts")
         ctx[n] = f
     return ctx
 
 
-def _apply_rule(d: Derivation, mode: str, path: tuple[int, ...],
-                subs: list[_Open]) -> _Open:
+def _apply_rule(d: Derivation, mode: str, subs: list[_Open]) -> _Open:
     if mode == EAL:
         for _, v in d.data:
             if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)) and contains_para(v):
-                raise _fail(path, "paragraph modality is not an EAL connective")
+                raise RuleViolation("paragraph modality is not an EAL connective")
 
     if d.rule == "A":
-        x, ty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
+        x, ty = _field(d, "var", str), _field(d, "ty", Formula)
         return {x: ty}, ty
 
     if d.rule == "U":
         (lctx, lty), (rctx, rty) = subs
-        x = _field(d, path, "var", str)
+        x = _field(d, "var", str)
         xty = rctx.pop(x, None)
         if xty is None:
-            raise _fail(path, f"cut variable {x!r} not in right context")
+            raise RuleViolation(f"cut variable {x!r} not in right context")
         if not formula_eq(xty, lty):
-            raise _fail(path, f"cut type mismatch: {show_formula(lty)} vs {show_formula(xty)}")
-        return _ctx_extend(path, lctx, rctx), rty
+            raise RuleViolation(f"cut type mismatch: {show_formula(lty)} vs {show_formula(xty)}")
+        return _ctx_extend(lctx, rctx), rty
 
     if d.rule == "LLolli":
         (actx, aty), (bctx, bty) = subs
-        y, x = _field(d, path, "fun", str), _field(d, path, "var", str)
+        y, x = _field(d, "fun", str), _field(d, "var", str)
         xty = bctx.pop(x, None)
         if xty is None:
-            raise _fail(path, f"continuation variable {x!r} not in right context")
-        ctx = _ctx_extend(path, _ctx_extend(path, actx, bctx), {y: Lolli(aty, xty)})
+            raise RuleViolation(f"continuation variable {x!r} not in right context")
+        ctx = _ctx_extend(_ctx_extend(actx, bctx), {y: Lolli(aty, xty)})
         return ctx, bty
 
     ((ctx, ty),) = subs
 
     if d.rule == "W":
-        x, xty = _field(d, path, "var", str), _field(d, path, "ty", Formula)
+        x, xty = _field(d, "var", str), _field(d, "ty", Formula)
         if x in ctx:
-            raise _fail(path, f"weakened variable {x!r} already in context")
+            raise RuleViolation(f"weakened variable {x!r} already in context")
         ctx[x] = xty
         return ctx, ty
 
     if d.rule == "X":
-        a, b, z = (_field(d, path, k, str) for k in ("a", "b", "z"))
+        a, b, z = (_field(d, k, str) for k in ("a", "b", "z"))
         if a == b:
-            raise _fail(path, f"contraction needs two distinct variables, got {a!r} twice")
+            raise RuleViolation(f"contraction needs two distinct variables, got {a!r} twice")
         aty, bty = ctx.get(a), ctx.get(b)
         if aty is None or bty is None:
-            raise _fail(path, f"contraction variables {a!r},{b!r} not both in context")
+            raise RuleViolation(f"contraction variables {a!r},{b!r} not both in context")
         if not formula_eq(aty, bty):
-            raise _fail(path, "contraction on hypotheses of different types")
+            raise RuleViolation("contraction on hypotheses of different types")
         if not isinstance(aty, Bang):
-            raise _fail(path, f"contraction requires a !-type, got {show_formula(aty)}")
+            raise RuleViolation(f"contraction requires a !-type, got {show_formula(aty)}")
         if z != a and z != b and z in ctx:
-            raise _fail(path, f"contraction target {z!r} already in context")
+            raise RuleViolation(f"contraction target {z!r} already in context")
         del ctx[b]
         if z != a:  # z takes a's place
             ctx = {(z if n == a else n): f for n, f in ctx.items()}
         return ctx, ty
 
     if d.rule == "RLolli":
-        x = _field(d, path, "var", str)
+        x = _field(d, "var", str)
         xty = ctx.pop(x, None)
         if xty is None:
-            raise _fail(path, f"abstracted variable {x!r} not in context")
+            raise RuleViolation(f"abstracted variable {x!r} not in context")
         return ctx, Lolli(xty, ty)
 
     if d.rule == "PBang":
         if mode != EAL:
-            raise _fail(path, "PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
+            raise RuleViolation("PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
         return {n: Bang(f) for n, f in ctx.items()}, Bang(ty)
 
     if d.rule == "PBang1":
         if mode != LAL:
-            raise _fail(path, "PBang1 is an LAL rule")
+            raise RuleViolation("PBang1 is an LAL rule")
         if ctx:
-            raise _fail(path, "PBang1 requires an empty context")
+            raise RuleViolation("PBang1 requires an empty context")
         return ctx, Bang(ty)
 
     if d.rule == "PBang2":
         if mode != LAL:
-            raise _fail(path, "PBang2 is an LAL rule")
+            raise RuleViolation("PBang2 is an LAL rule")
         if len(ctx) != 1:
-            raise _fail(path, "PBang2 requires exactly one hypothesis")
+            raise RuleViolation("PBang2 requires exactly one hypothesis")
         (x, xty), = ctx.items()
         if not formula_eq(xty, ty):
-            raise _fail(path, "PBang2 requires the hypothesis type to match the subject type")
+            raise RuleViolation("PBang2 requires the hypothesis type to match the subject type")
         ctx[x] = Bang(xty)
         return ctx, Bang(ty)
 
     if d.rule == "PPara":
         if mode != LAL:
-            raise _fail(path, "PPara is an LAL rule")
-        banged = _field(d, path, "bang", tuple)
+            raise RuleViolation("PPara is an LAL rule")
+        banged = _field(d, "bang", tuple)
         for x in banged:
             if x not in ctx:
-                raise _fail(path, f"PPara bang list names unknown variable {x!r}")
+                raise RuleViolation(f"PPara bang list names unknown variable {x!r}")
         return {n: Bang(f) if n in banged else Para(f) for n, f in ctx.items()}, Para(ty)
 
     if d.rule == "RForall":
-        tv = _field(d, path, "tv", str)
+        tv = _field(d, "tv", str)
         for n, f in ctx.items():
             if tv in free_type_vars(f):
-                raise _fail(path, f"type variable {tv!r} occurs free in the type of {n!r}")
+                raise RuleViolation(f"type variable {tv!r} occurs free in the type of {n!r}")
         return ctx, Forall(tv, ty)
 
     if d.rule == "LForall":
-        x, xall = _field(d, path, "var", str), _field(d, path, "ty", Forall)
-        wit = _field(d, path, "wit", Formula)
+        x, xall = _field(d, "var", str), _field(d, "ty", Forall)
+        wit = _field(d, "wit", Formula)
         xty = ctx.get(x)
         if xty is None:
-            raise _fail(path, f"variable {x!r} not in context")
+            raise RuleViolation(f"variable {x!r} not in context")
         expected = subst_formula(xall.body, xall.var, wit)
         if not formula_eq(xty, expected):
-            raise _fail(path, f"instantiation mismatch: hypothesis {show_formula(xty)} "
-                              f"!= {show_formula(expected)}")
+            raise RuleViolation(f"instantiation mismatch: hypothesis {show_formula(xty)} "
+                                f"!= {show_formula(expected)}")
         ctx[x] = xall
         return ctx, ty
 
     if d.rule == "RMu":
-        mu = _field(d, path, "ty", Mu)
+        mu = _field(d, "ty", Mu)
         if not formula_eq(ty, unfold_mu(mu)):
-            raise _fail(path, f"fold mismatch: subject has {show_formula(ty)}, "
-                              f"expected {show_formula(unfold_mu(mu))}")
+            raise RuleViolation(f"fold mismatch: subject has {show_formula(ty)}, "
+                                f"expected {show_formula(unfold_mu(mu))}")
         return ctx, mu
 
     if d.rule == "LMu":
-        x, mu = _field(d, path, "var", str), _field(d, path, "ty", Mu)
+        x, mu = _field(d, "var", str), _field(d, "ty", Mu)
         xty = ctx.get(x)
         if xty is None:
-            raise _fail(path, f"variable {x!r} not in context")
+            raise RuleViolation(f"variable {x!r} not in context")
         if not formula_eq(xty, unfold_mu(mu)):
-            raise _fail(path, f"unfold mismatch: hypothesis has {show_formula(xty)}")
+            raise RuleViolation(f"unfold mismatch: hypothesis has {show_formula(xty)}")
         ctx[x] = mu
         return ctx, ty
 
-    raise _fail(path, f"unhandled rule {d.rule}")
+    raise RuleViolation(f"unhandled rule {d.rule}")
 
 
 def to_eal_image(d: Derivation) -> Derivation:
     """Map an LAL derivation to its EAL image: paragraph boxes become
     plain boxes and every paragraph modality becomes a bang."""
-    def visit(n: Derivation, path: tuple[int, ...],
-              prem: list[Derivation]) -> Derivation:
+    def visit(n: Derivation, prem: list[Derivation]) -> Derivation:
         rule = "PBang" if n.rule in ("PBang1", "PBang2", "PPara") else n.rule
         data = []
         for k, v in n.data:
@@ -668,27 +668,24 @@ _SCAN = re.compile(r"""\s*(?:
 _WORD = re.compile(r"[^\s(){}\[\]]+|[(){}\[\]]")
 
 
-def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
-                    mode: str = EAL) -> str:
+def show_derivation(d: Derivation, judgements: bool = False, mode: str = EAL) -> str:
     """The text of d: one line per node, in pre-order, indented by depth.
-    A node's ')' closes the line of its last descendant."""
-    ann = check_annotated(d, mode) if judgements else None
-    subjects = _node_subjects(d) if judgements else {}
-
-    def fmt_judgement(j: Sequent, node: Derivation) -> str:
-        from .terms import show_term
-        ctx = ", ".join(f"{n}:{show_formula(f)}" for n, f in j.ctx)
-        return f"[{ctx} |- {show_term(subjects[id(node)])} : {show_formula(j.type)}]"
+    A node's ')' closes the line of its last descendant. With
+    `judgements`, each line carries its node's sequent and subject."""
+    sequents: dict[int, Sequent] = {}
+    if judgements:
+        _check_all(d, mode, sequents)
+        subjects = _node_subjects(d)
 
     out: list[str] = []
-    # a node with its path, or None for the ')' after a node's last premise
-    todo: list[tuple[Derivation, tuple[int, ...]] | None] = [(d, ())]
+    # a node with its depth, or None for the ')' after a node's last premise
+    todo: list[tuple[Derivation, int] | None] = [(d, 0)]
     while todo:
         item = todo.pop()
         if item is None:
             out.append(")")
             continue
-        node, path = item
+        node, depth = item
         parts = [node.rule]
         for k, v in node.data:
             if k in _FORMULA_KEYS:
@@ -698,15 +695,16 @@ def show_derivation(d: Derivation, indent: int = 0, judgements: bool = False,
                 parts.append(f"{{{k} {inner}}}" if inner else f"{{{k}}}")
             else:
                 parts.append(f"{{{k} {v}}}")
-        if ann is not None:
-            parts.append(fmt_judgement(ann[path], node))
+        if judgements:
+            j = sequents[id(node)]
+            ctx = ", ".join(f"{n}:{show_formula(f)}" for n, f in j.ctx)
+            parts.append(f"[{ctx} |- {show_term(subjects[id(node)])} : {show_formula(j.type)}]")
         if out:
             out.append("\n")
-        out.append("  " * (indent + len(path)) + "(" + " ".join(parts))
+        out.append("  " * depth + "(" + " ".join(parts))
         if node.premises:
             todo.append(None)
-            todo.extend((node.premises[i], path + (i,))
-                        for i in reversed(range(len(node.premises))))
+            todo.extend((p, depth + 1) for p in reversed(node.premises))
         else:
             out.append(")")
     return "".join(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import derivations
 from .derivations import Derivation, check_derivation
 from .proofnets import ProofNet, build_proofnet, find_cuts, net_depth, normalize_mlbl
 from .readback import readback_term
@@ -48,8 +49,9 @@ class RunStats:
 
 def prepared_graph(d: Derivation, mode: str = "eal",
                    translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
-    """Check, build and translate; the usual test entry point."""
-    check_derivation(d, mode)
+    """Check, build and translate; the usual test entry point. Nothing
+    here reads the subject, so the check builds none."""
+    derivations._check_all(d, mode, None)
     return built_graph(d, translation)
 
 

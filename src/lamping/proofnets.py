@@ -58,10 +58,9 @@ class StepReport:
     """What a single reduction step did, for labelling bookkeeping."""
     kind: str                                   # lolli | forall | mu | merge | contract
     removed: list[int] = field(default_factory=list)  # a contraction removes only its X
-    # box member -> (itself, its fresh copy): the box stays as the first copy
-    copied: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # box member -> its fresh copy: the box stays as the first copy
+    copied: dict[int, int] = field(default_factory=dict)
     fresh_contractions: list[int] = field(default_factory=list)
-    resolved_contraction: int | None = None
 
 
 class ProofNet(PortGraph):
@@ -176,8 +175,7 @@ def build_proofnet(d: Derivation) -> ProofNet:
     def new_sent() -> End:
         return ("s", next(sentinels))
 
-    def visit(node: Derivation, path: tuple,
-              subs: list) -> tuple[End, dict[str, End], int]:
+    def visit(node: Derivation, subs: list) -> tuple[End, dict[str, End], int]:
         rule = node.rule
         if rule == "A":
             m, h = new_sent(), new_sent()
@@ -409,9 +407,7 @@ def reduce_step_pn(net: ProofNet, cut: tuple[End, End]) -> StepReport:
         fresh.append(xj)
 
     net.remove_node(x)
-    return StepReport("contract", removed=[x],
-                      copied={old: (old, new) for old, new in m.items()},
-                      fresh_contractions=fresh, resolved_contraction=x)
+    return StepReport("contract", removed=[x], copied=m, fresh_contractions=fresh)
 
 
 # ---------------------------------------------------------------------------

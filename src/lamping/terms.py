@@ -221,10 +221,6 @@ def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
 
 def subst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding substitution t{u/x}."""
-    return _subst(t, x, u)
-
-
-def _subst(t: Term, x: str, u: Term) -> Term:
     # a subterm without x comes back as it is, so the calls follow the
     # paths to the occurrences of x; under an abstraction on such a path x
     # is free in the body, and the binder is renamed when u mentions it
@@ -233,12 +229,12 @@ def _subst(t: Term, x: str, u: Term) -> Term:
     if isinstance(t, Var):
         return u
     if isinstance(t, App):
-        return App(_subst(t.fun, x, u), _subst(t.arg, x, u))
+        return App(subst(t.fun, x, u), subst(t.arg, x, u))
     fu = free_vars(u)
     if t.binder in fu:
         b = fresh_name(t.binder, fu | free_vars(t.body) | {x})
-        return Abs(b, _subst(subst(t.body, t.binder, Var(b)), x, u))
-    return Abs(t.binder, _subst(t.body, x, u))
+        return Abs(b, subst(subst(t.body, t.binder, Var(b)), x, u))
+    return Abs(t.binder, subst(t.body, x, u))
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

@@ -35,17 +35,15 @@ class Labelling:
     def carry(self, step: StepReport) -> None:
         """Carry the mapping across one proof-net step in place: box
         copies inherit from the node they copy, the contractions
-        introduced at the copied doors take the resolved node's index,
-        and then the removed nodes drop out. Touches only the entries the
-        step names."""
+        introduced at the copied doors take the index of the contraction
+        the step removed, and then the removed nodes drop out. Touches
+        only the entries the step names."""
         mapping = self.mapping
-        for old, (c1, c2) in step.copied.items():
+        for old, new in step.copied.items():
             if old in mapping:
-                mapping[c1] = mapping[c2] = mapping[old]
-        if step.resolved_contraction is not None:
-            idx = mapping[step.resolved_contraction]
-            for xj in step.fresh_contractions:
-                mapping[xj] = idx
+                mapping[new] = mapping[old]
+        for xj in step.fresh_contractions:
+            mapping[xj] = mapping[step.removed[0]]
         for nid in step.removed:
             mapping.pop(nid, None)
 

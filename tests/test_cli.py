@@ -151,6 +151,13 @@ def test_trace_identity_from_empty_context(capsys):
     assert lines[-1] == "stuck: empty-mult"
 
 
+def test_trace_out_of_fuel(capsys):
+    code, out, _ = _run(["trace", RUNNING, "--edge", "f", "--ctx", "|pq",
+                         "--max-steps", "1"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["1.pr -> [|pq]", "2.p -> [|q]", "stuck: fuel exhausted"]
+
+
 def test_trace_into_weakening(capsys):
     path = str(ROOT / "corpus" / "weakened_app.eal")
     # routing the argument into the lambda that erases its variable
@@ -205,16 +212,25 @@ def test_input_error_exit_code(tmp_path, capsys):
 def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, tmp_path, argv, checks):
     argv = [str(tmp_path / "dot") if a == "DIR" else a for a in argv]
     calls = []
+    subjects = []
     check_all = lamping.derivations._check_all
+    subject = lamping.derivations._subject
 
     def counting(*args):
         calls.append(args)
         return check_all(*args)
 
+    def building(*args):
+        subjects.append(args)
+        return subject(*args)
+
     monkeypatch.setattr(lamping.derivations, "_check_all", counting)
+    monkeypatch.setattr(lamping.derivations, "_subject", building)
     code, _, _ = _run(argv[:1] + [RUNNING] + argv[1:], capsys)
     assert code == 0
     assert len(calls) == checks
+    if argv[0] == "trace":
+        assert subjects == []  # no step of a token run reads the subject
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,8 +12,8 @@ from lamping.corpus import _church, build
 from lamping.derivations import (
     Derivation, RuleViolation, Sequent, _field, ax, bang, bang1, bang2,
     check_annotated, check_derivation, contract, cut, derivation_subject,
-    fold_derivation, forall_l, forall_r, lam, llolli, mu_l, para,
-    parse_derivation, show_derivation, to_eal_image, weak,
+    forall_l, forall_r, lam, llolli, mu_l, para, parse_derivation,
+    show_derivation, to_eal_image, weak,
 )
 from lamping.formulas import (
     Atom, Bang, Forall, Formula, Lolli, Mu, Para, contains_para, erase_para,
@@ -213,6 +213,12 @@ def _nodes(d):
         stack.extend((path + (i,), p) for i, p in enumerate(n.premises))
 
 
+def _premises_first(d):
+    """Every (path, node) of d in post-order, left to right: a path comes
+    after its extensions (a rule has at most two premises, 0 and 1)."""
+    return sorted(_nodes(d), key=lambda item: item[0] + (2,))
+
+
 def _reference_inputs():
     """name -> (mode, derivation)."""
     root = Path(__file__).resolve().parents[1] / "corpus"
@@ -247,9 +253,11 @@ def test_subject_is_the_rule_by_rule_subject(name):
 
 
 def test_post_order_is_the_premises_first_order_without_paths():
-    from lamping.derivations import _post_order, _premises_first
+    """`_post_order` visits premises first, left to right: the order that
+    fixes the builder's node ids."""
+    from lamping.derivations import _post_order
     for name, (_, d) in REFERENCE_INPUTS.items():
-        nodes = [n for n, _ in _premises_first(d)]
+        nodes = [n for _, n in _premises_first(d)]
         order = _post_order(d)
         assert len(order) == len(nodes), name
         assert all(a is b for a, b in zip(order, nodes)), name
@@ -348,30 +356,60 @@ def test_church_1000_checks_builds_prints_and_parses_at_the_default_recursion_li
     assert image == d  # an EAL derivation is its own image
 
 
+def test_only_a_refusal_or_an_annotation_key_walks_paths(monkeypatch):
+    """Checking, building, printing and parsing walk without paths; the
+    one walk that builds them runs for `check_annotated`'s keys and once
+    for a refused rule."""
+    calls = []
+    paths = lamping.derivations._paths
+
+    def counting(d):
+        calls.append(d)
+        return paths(d)
+
+    monkeypatch.setattr(lamping.derivations, "_paths", counting)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        d = _church(1000)
+        check_derivation(d)
+        build_proofnet(d)
+        parse_derivation(show_derivation(d))
+    finally:
+        sys.setrecursionlimit(limit)
+    show_derivation(_church(60), judgements=True)
+    assert calls == []
+    check_annotated(_church(2))
+    assert len(calls) == 1
+    with pytest.raises(RuleViolation) as e:
+        check_derivation(lam("v", cut("c", ax("x", A), weak("x", A, ax("c", A)))))
+    assert e.value.path == (0,) and len(calls) == 2
+
+
 # contexts ------------------------------------------------------------------
 
 def _ctx_remove(ctx, name):
     return tuple((n, f) for n, f in ctx if n != name)
 
 
-def _ctx_merge(path, *parts):
+def _ctx_merge(*parts):
     seen, out = set(), []
     for part in parts:
         for n, f in part:
             if n in seen:
-                raise RuleViolation(path, f"duplicate context variable {n!r} when merging contexts")
+                raise RuleViolation(f"duplicate context variable {n!r} when merging contexts")
             seen.add(n)
             out.append((n, f))
     return tuple(out)
 
 
-def _reference_rule(d, mode, path, subs):
+def _reference_rule(d, mode, subs):
     """One rule on tuple contexts, copying or scanning the whole context."""
     def fail(reason):
-        return RuleViolation(path, reason)
+        return RuleViolation(reason)
 
     def field(key, kind):
-        return _field(d, path, key, kind)
+        return _field(d, key, kind)
 
     if mode == "eal":
         for _, v in d.data:
@@ -389,14 +427,14 @@ def _reference_rule(d, mode, path, subs):
             raise fail(f"cut variable {x!r} not in right context")
         if not formula_eq(xty, left.type):
             raise fail(f"cut type mismatch: {show_formula(left.type)} vs {show_formula(xty)}")
-        return Sequent(_ctx_merge(path, left.ctx, _ctx_remove(right.ctx, x)), right.type)
+        return Sequent(_ctx_merge(left.ctx, _ctx_remove(right.ctx, x)), right.type)
     if rule == "LLolli":
         parg, pbody = subs
         y, x = field("fun", str), field("var", str)
         xty = pbody.lookup(x)
         if xty is None:
             raise fail(f"continuation variable {x!r} not in right context")
-        ctx = _ctx_merge(path, parg.ctx, _ctx_remove(pbody.ctx, x), ((y, Lolli(parg.type, xty)),))
+        ctx = _ctx_merge(parg.ctx, _ctx_remove(pbody.ctx, x), ((y, Lolli(parg.type, xty)),))
         return Sequent(ctx, pbody.type)
     (p,) = subs
     if rule == "W":
@@ -489,14 +527,15 @@ def _reference_rule(d, mode, path, subs):
 
 def reference_check(d, mode="eal"):
     """The sequent at every node, keyed by path, from tuple contexts that
-    each rule copies or scans whole."""
+    each rule copies or scans whole. It walks its own paths, premises
+    first, and a refusal names the path of the first node refused."""
     out = {}
-
-    def visit(n, path, subs):
-        out[path] = _reference_rule(n, mode, path, subs)
-        return out[path]
-
-    fold_derivation(d, visit)
+    for path, n in _premises_first(d):
+        subs = [out[path + (i,)] for i in range(len(n.premises))]
+        try:
+            out[path] = _reference_rule(n, mode, subs)
+        except RuleViolation as e:
+            raise RuleViolation(e.reason, path) from None
     return out
 
 
@@ -516,15 +555,16 @@ CONTEXT_INPUTS = _context_inputs()
 
 
 def _built_hypotheses(monkeypatch):
-    """Record the names of the builder's hypothesis map, in order, as each
-    node of the next `build_proofnet` hands it to its parent."""
+    """Record the names of the builder's hypothesis map, in order, by
+    id(node), as each node of the next `build_proofnet` hands it to its
+    parent."""
     seen = {}
     fold = lamping.proofnets.fold_derivation
 
     def recording(d, visit):
-        def recorded(n, path, subs):
-            result = visit(n, path, subs)
-            seen[path] = tuple(result[1])
+        def recorded(n, subs):
+            result = visit(n, subs)
+            seen[id(n)] = tuple(result[1])
             return result
         return fold(d, recorded)
 
@@ -542,7 +582,7 @@ def test_contexts_match_the_tuple_checker_and_the_builder(monkeypatch):
         assert (j.ctx, j.type) == (expected[()].ctx, expected[()].type), name
         seen.clear()
         net = build_proofnet(d)
-        assert seen == {path: s.ctx_names() for path, s in ann.items()}, name
+        assert seen == {id(n): ann[p].ctx_names() for p, n in _nodes(d)}, name
         assert net.conclusions == ["main", *ann[()].ctx_names()], name
         boxes = [p for p, n in _nodes(d) if n.rule in ("PBang", "PBang1", "PBang2", "PPara")]
         assert sorted(len(b.aux_doors) for b in net.boxes.values()) == \
@@ -550,6 +590,7 @@ def test_contexts_match_the_tuple_checker_and_the_builder(monkeypatch):
 
 
 B2 = Bang(AA)
+_WEAKENED_TWICE = weak("x", A, ax("x", A))
 MALFORMED = {
     # y comes first on the right and x on the left: the right decides
     "duplicate_merge": cut("c", weak("y", A, weak("x", A, ax("c", A))),
@@ -576,6 +617,8 @@ MALFORMED = {
     "forall_free": forall_r("a", ax("x", A)),
     "lforall_missing": forall_l("w", Forall("t", Atom("t")), A, ax("x", A)),
     "lmu_missing": mu_l("w", Mu("t", Lolli(Atom("t"), A)), ax("x", A)),
+    # one refused node object at two places: the leftmost is reported
+    "shared_refused": cut("c", weak("y", A, _WEAKENED_TWICE), _WEAKENED_TWICE),
 }
 LAL_MALFORMED = {"pbang_in_lal", "pbang1_with_hypothesis", "pbang2_two_hypotheses",
                  "pbang2_type_mismatch", "ppara_unknown_name"}
@@ -596,6 +639,8 @@ def test_malformed_derivations_fail_where_the_tuple_checker_does(name):
     assert _violation(check_derivation, d, mode) == expected
     if name == "duplicate_merge":
         assert expected == ((0,), "duplicate context variable 'y' when merging contexts")
+    if name == "shared_refused":
+        assert expected == ((0, 0, 0), "weakened variable 'x' already in context")
 
 
 def _renamings(d):

@@ -341,7 +341,7 @@ def test_free_vars_are_kept_on_the_node_outside_the_fields():
 
 def test_subst_only_walks_the_path_to_the_variable(monkeypatch):
     """One x at depth 50 beside x-free siblings of 401 nodes each: the
-    substitution calls `_subst` on the path and on each sibling once,
+    substitution calls `subst` on the path and on each sibling once,
     never inside a sibling, and hands the siblings back as they are."""
     sibling = _s_power_term(200)
     t = Var("x")
@@ -350,14 +350,14 @@ def test_subst_only_walks_the_path_to_the_variable(monkeypatch):
     u = App(Var("f"), Var("w"))
     expected = _reference_subst(t, "x", u)
     calls = []
-    inner = lamping.terms._subst
+    inner = lamping.terms.subst
 
     def counting(*args):
         calls.append(args[0])
         return inner(*args)
 
-    monkeypatch.setattr(lamping.terms, "_subst", counting)
-    out = subst(t, "x", u)
+    monkeypatch.setattr(lamping.terms, "subst", counting)
+    out = lamping.terms.subst(t, "x", u)
     assert _same(out, expected)
     # per level: the application, its sibling, the abstraction, and the
     # renaming of w (u mentions w), which finds w not free in the body
@@ -368,7 +368,7 @@ def test_subst_only_walks_the_path_to_the_variable(monkeypatch):
         probe = probe.arg.body
     assert probe is u
     calls.clear()
-    assert subst(sibling, "x", u) is sibling
+    assert lamping.terms.subst(sibling, "x", u) is sibling
     assert len(calls) == 1
 
 

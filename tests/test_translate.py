@@ -125,9 +125,8 @@ def test_induced_labelling_copies_inherit(corpus_graphs):
             lab2 = copy.deepcopy(lab)
             lab2.carry(rep)
             for x in inner:
-                c1, c2 = rep.copied[x]
-                assert lab2.mapping[c1] == lab.mapping[x]
-                assert lab2.mapping[c2] == lab.mapping[x]
+                assert lab2.mapping[x] == lab.mapping[x]
+                assert lab2.mapping[rep.copied[x]] == lab.mapping[x]
             assert check_compatible(net, lab2)
             break
         lab.carry(rep)
@@ -170,14 +169,12 @@ def reference_induced_labelling(net, lab, step):
     labelling was carried in place: filter every entry against the live
     nodes, then add the copies and the fresh contractions."""
     mapping = {x: i for x, i in lab.mapping.items() if x in net.nodes}
-    for old, (c1, c2) in step.copied.items():
+    for old, new in step.copied.items():
         if old in lab.mapping:
-            mapping[c1] = lab.mapping[old]
-            mapping[c2] = lab.mapping[old]
-    if step.resolved_contraction is not None:
-        idx = lab.mapping[step.resolved_contraction]
-        for xj in step.fresh_contractions:
-            mapping[xj] = idx
+            mapping[old] = lab.mapping[old]
+            mapping[new] = lab.mapping[old]
+    for xj in step.fresh_contractions:
+        mapping[xj] = lab.mapping[step.removed[0]]
     return Labelling(mapping, k=lab.k)
 
 
