@@ -18,7 +18,7 @@ from pathlib import Path
 from .derivations import (DerivationSyntaxError, RuleViolation,
                           check_derivation, parse_derivation, show_derivation)
 from .formulas import show_formula
-from .pipeline import built_graph, format_report, prepared_graph, run_pipeline
+from .pipeline import format_report, prepared_graph, run_pipeline
 from .proofnets import proofnet_dot
 from .semantics import (FuelExhaustedRun, Reached, Stuck, parse_ctx, run_token,
                         show_ctx)
@@ -46,8 +46,7 @@ def cmd_run(args) -> int:
     if args.dot:
         outdir = Path(args.dot)
         outdir.mkdir(parents=True, exist_ok=True)
-        # run_pipeline has checked d
-        net, _, graph = built_graph(d, args.translation)
+        net, _, graph = prepared_graph(d, args.mode, args.translation)
         (outdir / "proofnet.dot").write_text(proofnet_dot(net))
         (outdir / "graph.dot").write_text(graph_dot(graph))
         normalize_sg(graph, args.max_steps)
@@ -126,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
     if getattr(args, "max_steps", 1) < 1:
         PARSER.error(f"argument --max-steps: must be at least 1, got {args.max_steps}")
+    if getattr(args, "probe_depth", 0) < 0:
+        PARSER.error(f"argument --probe-depth: must be at least 0, got {args.probe_depth}")
     try:
         return args.fn(args)
     except (OSError, DerivationSyntaxError, RuleViolation) as e:

@@ -1,4 +1,5 @@
-"""EAL/LAL sequent derivations: checking, subjects, text format.
+"""EAL/LAL sequent derivations: checking (and building the proof-net),
+subjects, text format.
 
 A derivation is a tree of rule applications. Each node carries only the
 rule tag plus the data needed to replay it (affected variable names,
@@ -10,6 +11,13 @@ and type at each node (a `Sequent`). The subject term is built once, for
 the conclusion: one top-down pass carries the substitutions that the cut,
 contraction and left-arrow rules make, and renames a binder exactly
 where substituting rule by rule would rename it.
+
+The checker is also the translation to proof-nets. Handed a net,
+`_apply_rule` adds each rule's piece of it through the net's
+construction primitives, which know no names: the context keeps, beside
+each hypothesis's type, the loose end of the net that stands for it. So
+the order of the context, which fixes each box's door order and the
+net's conclusions, is decided in this one place.
 
 Passes over every node go premises first, through `_post_order` and the
 fold over it, without paths: a refused rule raises with its reason
@@ -205,10 +213,11 @@ def mu_l(x: str, ty: Mu, p: Derivation) -> Derivation:
 
 # checking ------------------------------------------------------------------
 
-def check_derivation(d: Derivation, mode: str = EAL) -> Judgement:
+def check_derivation(d: Derivation, mode: str = EAL, net: Any = None) -> Judgement:
     """Verify every rule application and return the conclusion, with its
-    subject built once."""
-    seq = _check_all(d, mode, None)
+    subject built once. Given an empty `ProofNet`, each rule also adds
+    its piece of the derivation's proof-net to it."""
+    seq = _check_all(d, mode, None, net)
     subject = _subject(d, _subject_free_vars(d), {})
     if not free_vars(subject) <= set(seq.ctx_names()):
         raise RuleViolation("subject uses a variable missing from the context")
@@ -223,10 +232,12 @@ def check_annotated(d: Derivation, mode: str = EAL) -> dict[tuple[int, ...], Seq
     return {path: out[id(n)] for path, n in _paths(d)}
 
 
-def _check_all(d: Derivation, mode: str, out: dict[int, Sequent] | None) -> Sequent:
+def _check_all(d: Derivation, mode: str, out: dict[int, Sequent] | None,
+               net: Any = None) -> Sequent:
     """The one checker. Sequents are kept, keyed by id(node), only when
     `out` is given: keeping them all holds every node's context alive at
-    once.
+    once. Given a net, `_apply_rule` builds the proof-net into it as it
+    goes, and the root's loose ends become the net's conclusions.
 
     The fold hands each node's result to its parent alone, so a rule owns
     its premises' context dicts and updates them in place; a context
@@ -240,16 +251,18 @@ def _check_all(d: Derivation, mode: str, out: dict[int, Sequent] | None) -> Sequ
 
     def visit(n: Derivation, subs: list[_Open]) -> _Open:
         try:
-            j = _apply_rule(n, mode, subs)
+            j = _apply_rule(n, mode, subs, net)
         except RuleViolation as e:
             path = next(p for p, m in _paths(d) if m is n)
             raise RuleViolation(e.reason, path) from None
         if out is not None:
-            out[id(n)] = Sequent(tuple(j[0].items()), j[1])
+            out[id(n)] = Sequent(tuple((x, f) for x, (f, _) in j[0].items()), j[1])
         return j
 
-    ctx, ty = fold_derivation(d, visit)
-    return Sequent(tuple(ctx.items()), ty)
+    ctx, ty, main, _ = fold_derivation(d, visit)
+    if net is not None:
+        net.conclude(main, {x: end for x, (_, end) in ctx.items()})
+    return Sequent(tuple((x, f) for x, (f, _) in ctx.items()), ty)
 
 
 def derivation_subject(d: Derivation, mode: str = EAL) -> Term:
@@ -469,11 +482,14 @@ def _field(d: Derivation, key: str, kind: Any) -> Any:
     raise RuleViolation(f"{d.rule} needs a field {key!r}")
 
 
-# a node's context, which the rule receiving it owns, and its type
-_Open = tuple[dict[str, Formula], Formula]
+# A node's context, which the rule receiving it owns, maps each name to its
+# type and to the loose end of the net that stands for it; then come the
+# type, the main end and the id of the node's first net node. Without a
+# net, the ends and the id are None.
+_Open = tuple[dict[str, tuple[Formula, Any]], Formula, Any, Any]
 
 
-def _ctx_extend(ctx: dict[str, Formula], more: dict[str, Formula]) -> dict[str, Formula]:
+def _ctx_extend(ctx: dict[str, Any], more: dict[str, Any]) -> dict[str, Any]:
     """Append `more` to `ctx` in place, failing at the first name of
     `more`, in order, that `ctx` already holds."""
     for n, f in more.items():
@@ -483,7 +499,11 @@ def _ctx_extend(ctx: dict[str, Formula], more: dict[str, Formula]) -> dict[str, 
     return ctx
 
 
-def _apply_rule(d: Derivation, mode: str, subs: list[_Open]) -> _Open:
+def _apply_rule(d: Derivation, mode: str, subs: list[_Open], net: Any) -> _Open:
+    """Check one rule on its premises' results and return its own; with a
+    net, also add the rule's piece of it. The one place that maps a rule
+    to its change of context, whose order fixes each box's door order and
+    the net's conclusions. A refused rule leaves the net unfinished."""
     if mode == EAL:
         for _, v in d.data:
             if isinstance(v, (Atom, Lolli, Bang, Para, Forall, Mu)) and contains_para(v):
@@ -491,41 +511,48 @@ def _apply_rule(d: Derivation, mode: str, subs: list[_Open]) -> _Open:
 
     if d.rule == "A":
         x, ty = _field(d, "var", str), _field(d, "ty", Formula)
-        return {x: ty}, ty
+        if net is None:
+            return {x: (ty, None)}, ty, None, None
+        main, end = net.axiom()
+        return {x: (ty, end)}, ty, main, len(net.nodes)
 
     if d.rule == "U":
-        (lctx, lty), (rctx, rty) = subs
+        (lctx, lty, lmain, first), (rctx, rty, rmain, _) = subs
         x = _field(d, "var", str)
-        xty = rctx.pop(x, None)
+        xty, xend = rctx.pop(x, (None, None))
         if xty is None:
             raise RuleViolation(f"cut variable {x!r} not in right context")
         if not formula_eq(xty, lty):
             raise RuleViolation(f"cut type mismatch: {show_formula(lty)} vs {show_formula(xty)}")
-        return _ctx_extend(lctx, rctx), rty
+        ctx = _ctx_extend(lctx, rctx)
+        if net is not None:
+            net.splice(lmain, xend)
+        return ctx, rty, rmain, first
 
     if d.rule == "LLolli":
-        (actx, aty), (bctx, bty) = subs
+        (actx, aty, amain, first), (bctx, bty, bmain, _) = subs
         y, x = _field(d, "fun", str), _field(d, "var", str)
-        xty = bctx.pop(x, None)
+        xty, xend = bctx.pop(x, (None, None))
         if xty is None:
             raise RuleViolation(f"continuation variable {x!r} not in right context")
-        ctx = _ctx_extend(_ctx_extend(actx, bctx), {y: Lolli(aty, xty)})
-        return ctx, bty
+        end = None if net is None else net.node("LLolli", amain, xend)
+        ctx = _ctx_extend(_ctx_extend(actx, bctx), {y: (Lolli(aty, xty), end)})
+        return ctx, bty, bmain, first
 
-    ((ctx, ty),) = subs
+    ((ctx, ty, main, first),) = subs
 
     if d.rule == "W":
         x, xty = _field(d, "var", str), _field(d, "ty", Formula)
         if x in ctx:
             raise RuleViolation(f"weakened variable {x!r} already in context")
-        ctx[x] = xty
-        return ctx, ty
+        ctx[x] = xty, None if net is None else net.node("W")
+        return ctx, ty, main, first
 
     if d.rule == "X":
         a, b, z = (_field(d, k, str) for k in ("a", "b", "z"))
         if a == b:
             raise RuleViolation(f"contraction needs two distinct variables, got {a!r} twice")
-        aty, bty = ctx.get(a), ctx.get(b)
+        (aty, aend), (bty, bend) = ctx.get(a, (None, None)), ctx.get(b, (None, None))
         if aty is None or bty is None:
             raise RuleViolation(f"contraction variables {a!r},{b!r} not both in context")
         if not formula_eq(aty, bty):
@@ -535,85 +562,94 @@ def _apply_rule(d: Derivation, mode: str, subs: list[_Open]) -> _Open:
         if z != a and z != b and z in ctx:
             raise RuleViolation(f"contraction target {z!r} already in context")
         del ctx[b]
+        if net is not None:
+            ctx[a] = aty, net.node("X", aend, bend)
         if z != a:  # z takes a's place
-            ctx = {(z if n == a else n): f for n, f in ctx.items()}
-        return ctx, ty
+            ctx = {(z if n == a else n): h for n, h in ctx.items()}
+        return ctx, ty, main, first
 
     if d.rule == "RLolli":
         x = _field(d, "var", str)
-        xty = ctx.pop(x, None)
+        xty, xend = ctx.pop(x, (None, None))
         if xty is None:
             raise RuleViolation(f"abstracted variable {x!r} not in context")
-        return ctx, Lolli(xty, ty)
+        if net is not None:
+            main = net.node("RLolli", xend, main)
+        return ctx, Lolli(xty, ty), main, first
 
-    if d.rule == "PBang":
-        if mode != EAL:
-            raise RuleViolation("PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
-        return {n: Bang(f) for n, f in ctx.items()}, Bang(ty)
-
-    if d.rule == "PBang1":
-        if mode != LAL:
-            raise RuleViolation("PBang1 is an LAL rule")
-        if ctx:
-            raise RuleViolation("PBang1 requires an empty context")
-        return ctx, Bang(ty)
-
-    if d.rule == "PBang2":
-        if mode != LAL:
-            raise RuleViolation("PBang2 is an LAL rule")
-        if len(ctx) != 1:
-            raise RuleViolation("PBang2 requires exactly one hypothesis")
-        (x, xty), = ctx.items()
-        if not formula_eq(xty, ty):
-            raise RuleViolation("PBang2 requires the hypothesis type to match the subject type")
-        ctx[x] = Bang(xty)
-        return ctx, Bang(ty)
-
-    if d.rule == "PPara":
-        if mode != LAL:
-            raise RuleViolation("PPara is an LAL rule")
-        banged = _field(d, "bang", tuple)
-        for x in banged:
-            if x not in ctx:
-                raise RuleViolation(f"PPara bang list names unknown variable {x!r}")
-        return {n: Bang(f) if n in banged else Para(f) for n, f in ctx.items()}, Para(ty)
+    if d.rule in ("PBang", "PBang1", "PBang2", "PPara"):
+        banged: tuple = ()
+        if d.rule == "PBang":
+            if mode != EAL:
+                raise RuleViolation("PBang is the EAL exponential rule; use PBang1/PBang2/PPara in LAL")
+        elif mode != LAL:
+            raise RuleViolation(f"{d.rule} is an LAL rule")
+        elif d.rule == "PBang1":
+            if ctx:
+                raise RuleViolation("PBang1 requires an empty context")
+        elif d.rule == "PBang2":
+            if len(ctx) != 1:
+                raise RuleViolation("PBang2 requires exactly one hypothesis")
+            ((xty, _),) = ctx.values()
+            if not formula_eq(xty, ty):
+                raise RuleViolation("PBang2 requires the hypothesis type to match the subject type")
+        else:
+            banged = _field(d, "bang", tuple)
+            for x in banged:
+                if x not in ctx:
+                    raise RuleViolation(f"PPara bang list names unknown variable {x!r}")
+        # a hypothesis enters a PPara box as a paragraph unless the bang
+        # list names it, and any other box as a bang
+        para = d.rule == "PPara"
+        aux = [(para and n not in banged, end) for n, (_, end) in ctx.items()]
+        if net is None:
+            ends = [end for _, end in aux]
+        else:
+            main, ends = net.box(para, main, aux, first)
+        ctx = {n: (Para(f) if p else Bang(f), end)
+               for (n, (f, _)), (p, _), end in zip(ctx.items(), aux, ends)}
+        return ctx, Para(ty) if para else Bang(ty), main, first
 
     if d.rule == "RForall":
         tv = _field(d, "tv", str)
-        for n, f in ctx.items():
+        for n, (f, _) in ctx.items():
             if tv in free_type_vars(f):
                 raise RuleViolation(f"type variable {tv!r} occurs free in the type of {n!r}")
-        return ctx, Forall(tv, ty)
+        if net is not None:
+            main = net.node("RForall", main)
+        return ctx, Forall(tv, ty), main, first
 
     if d.rule == "LForall":
         x, xall = _field(d, "var", str), _field(d, "ty", Forall)
         wit = _field(d, "wit", Formula)
-        xty = ctx.get(x)
+        xty, xend = ctx.get(x, (None, None))
         if xty is None:
             raise RuleViolation(f"variable {x!r} not in context")
         expected = subst_formula(xall.body, xall.var, wit)
         if not formula_eq(xty, expected):
             raise RuleViolation(f"instantiation mismatch: hypothesis {show_formula(xty)} "
                                 f"!= {show_formula(expected)}")
-        ctx[x] = xall
-        return ctx, ty
+        ctx[x] = xall, None if net is None else net.node("LForall", xend)
+        return ctx, ty, main, first
 
     if d.rule == "RMu":
         mu = _field(d, "ty", Mu)
         if not formula_eq(ty, unfold_mu(mu)):
             raise RuleViolation(f"fold mismatch: subject has {show_formula(ty)}, "
                                 f"expected {show_formula(unfold_mu(mu))}")
-        return ctx, mu
+        if net is not None:
+            main = net.node("RMu", main)
+        return ctx, mu, main, first
 
     if d.rule == "LMu":
         x, mu = _field(d, "var", str), _field(d, "ty", Mu)
-        xty = ctx.get(x)
+        xty, xend = ctx.get(x, (None, None))
         if xty is None:
             raise RuleViolation(f"variable {x!r} not in context")
         if not formula_eq(xty, unfold_mu(mu)):
             raise RuleViolation(f"unfold mismatch: hypothesis has {show_formula(xty)}")
-        ctx[x] = mu
-        return ctx, ty
+        ctx[x] = mu, None if net is None else net.node("LMu", xend)
+        return ctx, ty, main, first
 
     raise RuleViolation(f"unhandled rule {d.rule}")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import derivations
 from .derivations import Derivation, check_derivation
 from .proofnets import ProofNet, build_proofnet, find_cuts, net_depth, normalize_mlbl
 from .readback import readback_term
@@ -19,7 +18,7 @@ from .sharegraphs import SGStats, SharingGraph, normalize_sg
 from .terms import Term, alpha_eq, beta_normalize, show_term
 from .translate import Labelling, labelling_dlt, labelling_lt, translate
 
-__all__ = ["RunStats", "run_pipeline", "prepared_graph", "built_graph", "format_report"]
+__all__ = ["RunStats", "run_pipeline", "prepared_graph", "format_report"]
 
 
 @dataclass
@@ -49,18 +48,15 @@ class RunStats:
 
 def prepared_graph(d: Derivation, mode: str = "eal",
                    translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
-    """Check, build and translate; the usual test entry point. Nothing
-    here reads the subject, so the check builds none."""
-    derivations._check_all(d, mode, None)
-    return built_graph(d, translation)
-
-
-def built_graph(d: Derivation,
-                translation: str = "dlt") -> tuple[ProofNet, Labelling, SharingGraph]:
-    """Build, label and translate a derivation `check_derivation` accepted."""
-    net = build_proofnet(d)
-    lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
+    """Check and build, label and translate; the usual test entry point.
+    Nothing here reads the subject, so none is built."""
+    net = build_proofnet(d, mode)
+    lab = _labelling(net, translation)
     return net, lab, translate(net, lab)
+
+
+def _labelling(net: ProofNet, translation: str) -> Labelling:
+    return labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
 
 
 def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
@@ -68,13 +64,13 @@ def run_pipeline(d: Derivation, mode: str = "eal", translation: str = "dlt",
                  probe_depth: int = 0) -> RunStats:
     """Full pipeline. A positive probe_depth additionally compares the
     bounded semantics tables of the net and its translation."""
-    judgement = check_derivation(d, mode)
+    net = ProofNet()
+    judgement = check_derivation(d, mode, net)
     oracle = beta_normalize(judgement.subject)
-    net = build_proofnet(d)
     pn_nodes = net.size()
     pn_edges = len(net.wires) // 2
     pn_depth = net_depth(net)
-    lab = labelling_dlt(net) if translation == "dlt" else labelling_lt(net)
+    lab = _labelling(net, translation)
     pn_steps = 0
     table_preserved = None
     # the sg route rewrites the graph it probed; pn-mlbl translates the

@@ -1,6 +1,10 @@
 """Proof-nets for EAL/LAL: construction, boxes, cuts, and reduction.
 
-Nets are port graphs (see portgraph.py). Boxes form a tree: each box
+Nets are port graphs (see portgraph.py). They are built by the
+derivation checker (`derivations._apply_rule`), rule by rule, through
+the construction primitives `axiom`, `node`, `box` and `conclude`, which
+wire loose ends and know no hypothesis names; `build_proofnet` checks a
+derivation with an empty net. Boxes form a tree: each box
 is keyed by its principal door and keeps its auxiliary doors, the
 principal door of the box around it, and the index below it: its direct
 members and its child boxes. `box_of` maps every node inside a box to
@@ -21,8 +25,9 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
+from . import derivations
 # the benchmark's tracer wraps check_annotated here until ROADMAP item 2 moves the wrap points
-from .derivations import Derivation, check_annotated, fold_derivation
+from .derivations import Derivation, check_annotated
 from .portgraph import End, PortGraph, reduce, to_dot
 
 __all__ = [
@@ -90,10 +95,64 @@ class ProofNet(PortGraph):
         self.cut_rank: list[tuple[int, tuple[End, End]]] = []
         self.cut_log = []
         self.conclusions: list[str] = []
+        self._loose = itertools.count()  # numbers the loose ends ("s", k)
 
     def attach(self, new_end: End, old_end: End) -> None:
         """Rewire whatever old_end pointed at onto new_end, dropping old_end."""
         self.link(new_end, self.unlink(old_end))
+
+    # construction: a piece of net under construction hangs on loose ends,
+    # which the next piece attaches to its own ports
+
+    def _loose_end(self, end: End) -> End:
+        loose = ("s", next(self._loose))
+        self.link(end, loose)
+        return loose
+
+    def axiom(self) -> tuple[End, End]:
+        """Two loose ends wired to each other."""
+        a = ("s", next(self._loose))
+        return a, self._loose_end(a)
+
+    def node(self, kind: str, *aux: End) -> End:
+        """A new node whose auxiliary ports take the loose ends `aux`, in
+        `PORTS` order; returns a loose end on its principal (first) port."""
+        nid = self.add_node(kind)
+        ports = self.PORTS[kind]
+        for port, end in zip(ports[1:], aux):
+            self.attach(("n", nid, port), end)
+        return self._loose_end(("n", nid, ports[0]))
+
+    def box(self, para: bool, main: End, aux: list[tuple[bool, End]],
+            first: int) -> tuple[End, list[End]]:
+        """Close every node from id `first` on into a box: a principal door
+        (paragraph when `para`) on `main`, then an auxiliary door on each
+        loose end of `aux`, in order (paragraph where its flag is set).
+        Nodes are not removed while building, so those ids are the box's
+        contents. Returns the loose ends on the doors' outer sides."""
+        inner = range(first, len(self.nodes))
+        out = self.node("RPara" if para else "RBang", main)
+        outs = [self.node("LPara" if p else "LBang", end) for p, end in aux]
+        r = self.wires[out][1]
+        doors = [self.wires[e][1] for e in outs]
+        box = self.boxes[r] = Box(aux_doors=doors, parent=None)
+        for n in inner:
+            if n not in self.box_of:
+                self.place(n, r)
+            elif n in self.boxes and self.boxes[n].parent is None:
+                self.boxes[n].parent = r
+                box.children.add(n)
+        for door in (r, *doors):
+            self.place(door, r)
+        return out, outs
+
+    def conclude(self, main: End, hyps: dict[str, End]) -> None:
+        """Wire the main loose end and each hypothesis's to a conclusion."""
+        self.attach(("c", "main"), main)
+        self.conclusions = ["main"]
+        for name, end in hyps.items():
+            self.attach(("c", name), end)
+            self.conclusions.append(name)
 
     def annihilate(self, cut: tuple[End, End]) -> None:
         """The core's annihilate, refusing, before anything changes, a cut
@@ -156,135 +215,14 @@ def net_depth(net: ProofNet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# construction from a checked derivation
+# construction from a derivation
 
-def build_proofnet(d: Derivation) -> ProofNet:
-    """Translate a derivation that `check_derivation` accepted, rule by
-    rule, into its proof-net.
-
-    Each node is translated after its premises (`fold_derivation`), from
-    their subnets: (main sentinel, hypothesis sentinels, first node id).
-    The hypothesis map keeps the checker's context order at every node,
-    which fixes the order of a box's auxiliary doors and of the root's
-    conclusions. No node is removed while building, so a subnet's nodes
-    are the ids from its first one on, which a box takes as its contents.
-    """
+def build_proofnet(d: Derivation, mode: str = "eal") -> ProofNet:
+    """Check d and translate it, rule by rule, into its proof-net: the
+    checker's fold adds each rule's piece of net as it accepts the rule,
+    so d is refused exactly where `check_derivation` refuses it."""
     net = ProofNet()
-    sentinels = itertools.count()
-
-    def new_sent() -> End:
-        return ("s", next(sentinels))
-
-    def visit(node: Derivation, subs: list) -> tuple[End, dict[str, End], int]:
-        rule = node.rule
-        if rule == "A":
-            m, h = new_sent(), new_sent()
-            net.link(m, h)
-            return m, {node.get("var"): h}, len(net.nodes)  # type: ignore[dict-item]
-
-        start = subs[0][2]
-        if rule == "U":
-            (m1, h1, _), (m2, h2, _) = subs
-            x = node.get("var")
-            net.splice(m1, h2.pop(x))  # type: ignore[arg-type]
-            return m2, {**h1, **h2}, start
-
-        if rule == "LLolli":
-            (m1, h1, _), (m2, h2, _) = subs
-            y, x = node.get("fun"), node.get("var")
-            app = net.add_node("LLolli")
-            net.attach(("n", app, "arg"), m1)
-            net.attach(("n", app, "res"), h2.pop(x))  # type: ignore[arg-type]
-            s = new_sent()
-            net.link(("n", app, "pr"), s)
-            hyps = {**h1, **h2}
-            hyps[y] = s  # type: ignore[index]
-            return m2, hyps, start
-
-        (m, h, _), = subs
-        if rule == "W":
-            w = net.add_node("W")
-            s = new_sent()
-            net.link(("n", w, "e"), s)
-            h[node.get("var")] = s  # type: ignore[index]
-            return m, h, start
-
-        if rule == "X":
-            a, b, z = node.get("a"), node.get("b"), node.get("z")
-            x = net.add_node("X")
-            net.attach(("n", x, "p"), h[a])  # type: ignore[index]
-            net.attach(("n", x, "q"), h.pop(b))  # type: ignore[arg-type]
-            s = new_sent()
-            net.link(("n", x, "pr"), s)
-            h[a] = s  # type: ignore[index]
-            if z != a:  # z takes a's place, as in the checker's context
-                h = {(z if n == a else n): e for n, e in h.items()}
-            return m, h, start
-
-        if rule == "RLolli":
-            x = node.get("var")
-            lam = net.add_node("RLolli")
-            net.attach(("n", lam, "bod"), m)
-            net.attach(("n", lam, "var"), h.pop(x))  # type: ignore[arg-type]
-            m2 = new_sent()
-            net.link(("n", lam, "pr"), m2)
-            return m2, h, start
-
-        if rule in ("PBang", "PBang1", "PBang2", "PPara"):
-            inner = range(start, len(net.nodes))
-            banged: tuple[str, ...] = ()
-            if rule == "PPara":
-                banged = node.get("bang")  # type: ignore[assignment]
-            rkind = "RPara" if rule == "PPara" else "RBang"
-            r = net.add_node(rkind)
-            net.attach(("n", r, "in"), m)
-            m2 = new_sent()
-            net.link(("n", r, "out"), m2)
-            doors = [r]
-            new_h: dict[str, End] = {}
-            for name, end in h.items():
-                lkind = "LBang" if rule != "PPara" or name in banged else "LPara"
-                l = net.add_node(lkind)
-                net.attach(("n", l, "in"), end)
-                s = new_sent()
-                net.link(("n", l, "out"), s)
-                new_h[name] = s
-                doors.append(l)
-            box = net.boxes[r] = Box(aux_doors=doors[1:], parent=None)
-            for n in inner:
-                if n not in net.box_of:
-                    net.place(n, r)
-                elif n in net.boxes and net.boxes[n].parent is None:
-                    net.boxes[n].parent = r
-                    box.children.add(n)
-            for door in doors:
-                net.place(door, r)
-            return m2, new_h, start
-
-        if rule in ("RForall", "RMu"):
-            n = net.add_node(rule)
-            net.attach(("n", n, "in"), m)
-            m2 = new_sent()
-            net.link(("n", n, "out"), m2)
-            return m2, h, start
-
-        if rule in ("LForall", "LMu"):
-            x = node.get("var")
-            n = net.add_node(rule)
-            net.attach(("n", n, "in"), h[x])  # type: ignore[index]
-            s = new_sent()
-            net.link(("n", n, "out"), s)
-            h[x] = s  # type: ignore[index]
-            return m, h, start
-
-        raise MalformedNet(f"unhandled rule {rule}")
-
-    main, hyps, _ = fold_derivation(d, visit)
-    net.attach(("c", "main"), main)
-    net.conclusions = ["main"]
-    for name, end in hyps.items():
-        net.attach(("c", name), end)
-        net.conclusions.append(name)
+    derivations._check_all(d, mode, None, net)
     return net
 
 

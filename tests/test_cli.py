@@ -202,19 +202,26 @@ def test_input_error_exit_code(tmp_path, capsys):
             assert err.startswith("error: "), (argv, path.name)
 
 
-@pytest.mark.parametrize("argv,checks", [
-    (["run"], 1),  # run_pipeline checks; build_proofnet takes the checked derivation
-    (["run", "--dot", "DIR"], 1),  # the .dot structures are built from the checked derivation
-    (["check"], 1),
-    (["check", "--annotate"], 1),
-    (["trace", "--edge", "f", "--ctx", "|pq"], 1),
-], ids=["run", "run-dot", "check", "check-annotate", "trace"])
-def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, tmp_path, argv, checks):
+@pytest.mark.parametrize("argv,checks,walks", [
+    (["run"], 1, 2),  # the check builds the net; the subject's free variables
+    (["run", "--strategy", "pn-mlbl"], 1, 2),
+    # the .dot structures are built again, and building checks
+    (["run", "--dot", "DIR"], 2, 3),
+    (["check"], 1, 2),
+    (["check", "--annotate"], 1, 3),  # and every node's subject
+    (["trace", "--edge", "f", "--ctx", "|pq"], 1, 1),
+], ids=["run", "run-pn", "run-dot", "check", "check-annotate", "trace"])
+def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, tmp_path, argv,
+                                                     checks, walks):
+    """Checks are counted as `_check_all` calls and walks over the whole
+    derivation as `_post_order` calls."""
     argv = [str(tmp_path / "dot") if a == "DIR" else a for a in argv]
     calls = []
     subjects = []
+    orders = []
     check_all = lamping.derivations._check_all
     subject = lamping.derivations._subject
+    post_order = lamping.derivations._post_order
 
     def counting(*args):
         calls.append(args)
@@ -224,13 +231,43 @@ def test_each_command_checks_as_few_times_as_it_can(monkeypatch, capsys, tmp_pat
         subjects.append(args)
         return subject(*args)
 
+    def walking(d):
+        orders.append(d)
+        return post_order(d)
+
     monkeypatch.setattr(lamping.derivations, "_check_all", counting)
     monkeypatch.setattr(lamping.derivations, "_subject", building)
+    monkeypatch.setattr(lamping.derivations, "_post_order", walking)
     code, _, _ = _run(argv[:1] + [RUNNING] + argv[1:], capsys)
     assert code == 0
     assert len(calls) == checks
+    assert len(orders) == walks
     if argv[0] == "trace":
         assert subjects == []  # no step of a token run reads the subject
+
+
+def test_checking_builds_no_net_unless_given_one(monkeypatch, corpus):
+    """Checking, annotating, printing with judgements and `dapp` make no
+    proof-net node."""
+    from lamping.derivations import check_annotated, check_derivation, dapp
+    from lamping.proofnets import ProofNet
+    added = []
+    add_node = ProofNet.add_node
+
+    def adding(self, kind):
+        added.append(kind)
+        return add_node(self, kind)
+
+    monkeypatch.setattr(ProofNet, "add_node", adding)
+    for mode, d in corpus.values():
+        check_derivation(d, mode)
+        check_annotated(d, mode)
+        show_derivation(d, judgements=True, mode=mode)
+    _, two = corpus["church2"]
+    dapp(two, two, "t")
+    assert added == []
+    ProofNet().node("W")
+    assert added == ["W"]  # the count sees a net being built
 
 
 @pytest.mark.parametrize("argv", [
@@ -396,6 +433,19 @@ def test_step_budget_below_one_is_rejected(budget, capsys):
     code, out, err = _run(["run", RUNNING, "--max-steps", budget], capsys)
     assert (code, out) == (2, "")
     assert "--max-steps: must be at least 1" in err
+
+
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_negative_probe_depth_is_rejected(depth, capsys):
+    code, out, err = _run(["run", RUNNING, "--probe-depth", depth], capsys)
+    assert (code, out) == (2, "")
+    assert "--probe-depth: must be at least 0" in err
+
+
+def test_probe_depth_zero_skips_the_probe(capsys):
+    code, out, _ = _run(["run", RUNNING, "--probe-depth", "0"], capsys)
+    assert code == 0
+    assert "semantics.table_preserved" not in out
 
 
 def test_dot_export(tmp_path, capsys):

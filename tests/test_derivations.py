@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import lamping.derivations
-import lamping.proofnets
 import lamping.terms
 from lamping.corpus import _church, build
 from lamping.derivations import (
@@ -554,39 +553,26 @@ def _context_inputs():
 CONTEXT_INPUTS = _context_inputs()
 
 
-def _built_hypotheses(monkeypatch):
-    """Record the names of the builder's hypothesis map, in order, by
-    id(node), as each node of the next `build_proofnet` hands it to its
-    parent."""
-    seen = {}
-    fold = lamping.proofnets.fold_derivation
-
-    def recording(d, visit):
-        def recorded(n, subs):
-            result = visit(n, subs)
-            seen[id(n)] = tuple(result[1])
-            return result
-        return fold(d, recorded)
-
-    monkeypatch.setattr(lamping.proofnets, "fold_derivation", recording)
-    return seen
+_BOX_RULES = ("PBang", "PBang1", "PBang2", "PPara")
 
 
-def test_contexts_match_the_tuple_checker_and_the_builder(monkeypatch):
-    seen = _built_hypotheses(monkeypatch)
+def test_contexts_match_the_tuple_checker_and_the_builder():
     for name, (mode, d) in CONTEXT_INPUTS.items():
         expected = reference_check(d, mode)
         ann = check_annotated(d, mode)
         assert ann == expected, name
         j = check_derivation(d, mode)
         assert (j.ctx, j.type) == (expected[()].ctx, expected[()].type), name
-        seen.clear()
-        net = build_proofnet(d)
-        assert seen == {id(n): ann[p].ctx_names() for p, n in _nodes(d)}, name
+        net = build_proofnet(d, mode)
         assert net.conclusions == ["main", *ann[()].ctx_names()], name
-        boxes = [p for p, n in _nodes(d) if n.rule in ("PBang", "PBang1", "PBang2", "PPara")]
+        boxes = [p for p, n in _premises_first(d) if n.rule in _BOX_RULES]
         assert sorted(len(b.aux_doors) for b in net.boxes.values()) == \
             sorted(len(ann[p + (0,)].ctx) for p in boxes), name
+        # principal doors are made in fold order, and each box's aux doors
+        # in the order and with the modalities of its rule's conclusion
+        doors = [[net.nodes[a] for a in net.boxes[r].aux_doors] for r in sorted(net.boxes)]
+        assert doors == [["LPara" if isinstance(f, Para) else "LBang" for _, f in ann[p].ctx]
+                         for p in boxes], name
 
 
 B2 = Bang(AA)
@@ -685,6 +671,39 @@ def test_renamed_corpus_derivations_fail_where_the_tuple_checker_does():
             assert _outcome(check_annotated, bad, mode) == expected, name
             failed += isinstance(expected, tuple)
     assert failed > 1000
+
+
+def _refusal(check, d, mode):
+    try:
+        check(d, mode)
+    except RuleViolation as e:
+        return e.path, e.reason
+    return None
+
+
+@pytest.mark.parametrize("mode", ["eal", "lal"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_the_builder_refuses_what_the_checker_refuses(name, mode):
+    d = lam("v", MALFORMED[name])
+    expected = _refusal(check_derivation, d, mode)
+    assert expected is not None
+    assert _refusal(build_proofnet, d, mode) == expected
+
+
+def test_the_builder_refuses_the_renamed_corpus_where_the_checker_does():
+    """Every one-field renaming of every corpus file, under both modes:
+    the builder refuses at the same node for the same reason as
+    `check_derivation`, and accepts what it accepts."""
+    failed = 0
+    for name, (_, d) in CONTEXT_INPUTS.items():
+        if name.startswith(("gen", "lalgen", "church")):
+            continue
+        for bad in _renamings(d):
+            for mode in ("eal", "lal"):
+                expected = _refusal(check_derivation, bad, mode)
+                assert _refusal(build_proofnet, bad, mode) == expected, (name, mode)
+                failed += expected is not None
+    assert failed > 5000
 
 
 @pytest.mark.parametrize("name", ["identity", "running_example"])

@@ -112,8 +112,8 @@ def _check_box_tree(net):
 
 def _nets():
     for name in CORPUS:
-        _, d = build(name)
-        yield build_proofnet(d)
+        mode, d = build(name)
+        yield build_proofnet(d, mode)
     for k in range(1, 5):
         yield build_proofnet(tower(k))
 
@@ -219,9 +219,9 @@ def test_box_index_and_cut_log_follow_every_step(monkeypatch):
     kinds = _checking_steps(monkeypatch)
     ds = [build(name) for name in sorted(CORPUS)]
     ds += [("eal", tower(k)) for k in range(1, 7)] + [("eal", church_identity(16))]
-    for _, d in ds:
+    for mode, d in ds:
         for labelling in (labelling_lt, labelling_dlt):
-            net = build_proofnet(d)
+            net = build_proofnet(d, mode)
             _check_box_index(net)
             normalize_mlbl(net, labelling=labelling(net))
     assert {"merge", "contract"} <= set(kinds)
@@ -292,12 +292,12 @@ def test_contraction_copies_the_box_once_in_place(monkeypatch):
         return report
 
     monkeypatch.setattr(lamping.proofnets, "reduce_step_pn", checked)
-    ds = [d for _, d in map(build, sorted(CORPUS))]
-    ds += [tower(k) for k in range(1, 6)] + [church_identity(16)]
+    ds = [build(name) for name in sorted(CORPUS)]
+    ds += [("eal", tower(k)) for k in range(1, 6)] + [("eal", church_identity(16))]
     contractions = 0
-    for d in ds:
+    for mode, d in ds:
         for labelling in (labelling_lt, labelling_dlt):
-            net = build_proofnet(d)
+            net = build_proofnet(d, mode)
             run.update(kinds=[], lab=labelling(net))
             removals.clear()
             normalize_mlbl(net)
